@@ -16,10 +16,8 @@ from typing import Sequence
 
 from .errors import BudgetExceededError, DegenerateInputError
 from .groups import Word, standard_group
-from .horoboundary import DigitizedRay, busemann_eval, ray_elements
+from .horoboundary import STANDARD_GRID, DigitizedRay, busemann_eval, ray_elements
 from .metric import DEFAULT_STATE_CAP, word_length
-
-_STEPS = {"x": (1, 0), "y": (0, 1), "x~": (-1, 0), "y~": (0, -1)}
 
 
 def _reduced(u: tuple[int, int]) -> tuple[int, int]:
@@ -76,8 +74,8 @@ def central_with_barycenter(b: tuple[int, int]) -> tuple:
     h_inv = group.invert_word(h_word)
     word = g_word + h_word + g_inv + h_inv
     elem = group.evaluate(word)
-    assert elem.endpoint == (0, 0) and elem.area2 == 0
-    assert elem.barycenter == (Fraction(b1), Fraction(b2))
+    if elem.endpoint != (0, 0) or elem.area2 != 0 or elem.barycenter != (b1, b2):
+        raise AssertionError(f"[g, [x, y]] has coordinates {elem.key()} (hard bug)")
     return elem, word
 
 
@@ -133,7 +131,7 @@ def bound_audit_lower(
     gamma = ray_elements(group, DigitizedRay(frame.u), n)[-1]
     target = gamma.endpoint
     ref6 = perp_pairing6(gamma, frame.u_perp)
-    steps = list(_STEPS.values())
+    steps = list(STANDARD_GRID.values())
 
     per_delta = []
     for delta in range(0, delta_max + 1):
@@ -225,7 +223,8 @@ def _sampled_max(target, length, u_perp, samples, seed):
         state = (0, 0, 0, 0, 0)
         for w in word:
             state = _step_state(state, {"R": (1, 0), "L": (-1, 0), "U": (0, 1), "D": (0, -1)}[w])
-        assert (state[0], state[1]) == (tx, ty)
+        if (state[0], state[1]) != (tx, ty):
+            raise AssertionError(f"sampled word ends at {state[:2]}, not {target} (hard bug)")
         val = state[3] * u_perp[0] + state[4] * u_perp[1]
         if best is None or val > best:
             best = val

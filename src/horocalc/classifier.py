@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BudgetExceededError, DegenerateInputError, GroupKindMismatchError, SpecNotGeodesicError
-from .groups import MarkedGroup, Word, commutator_z_exponent
+from .groups import MarkedGroup, Word, commutator_z_exponent, full_coordinates
 from .horoboundary import RaySpec
 from .metric import projected_polytope
 from .polytope import IMPROPER, Face, Polytope
@@ -38,13 +38,7 @@ def _require_classifiable(group: MarkedGroup) -> str:
 
 def full_polytope(group: MarkedGroup) -> Polytope:
     """Hull of the generators in full coordinates (needed for E faces)."""
-    pts = []
-    for _, g in group.generator_items():
-        if group.kind == "abelian":
-            pts.append(g.vec)
-        else:
-            pts.append(g.a + g.b + (g.c,))
-    return Polytope(pts)
+    return Polytope([full_coordinates(g) for _, g in group.generator_items()])
 
 
 def _face_key(poly: Polytope, face: Face) -> tuple:
@@ -113,11 +107,7 @@ def ray_invariants(group: MarkedGroup, spec: RaySpec) -> RayInvariants:
     except DegenerateInputError:
         fp = None
     if fp is not None:
-        fidx = []
-        for s in letters:
-            g = group.generator(s)
-            coords = g.vec if group.kind == "abelian" else g.a + g.b + (g.c,)
-            fidx.append(tuple(map(_frac, coords)))
+        fidx = [tuple(map(_frac, full_coordinates(group.generator(s)))) for s in letters]
         eface = fp.minimal_face_of_points(fidx)
         full_key = ("improper",) if eface is IMPROPER else _face_key(fp, eface)
     return RayInvariants(
@@ -183,10 +173,7 @@ def orbit_census(group: MarkedGroup) -> CensusReport:
                 group, face_labels(group, face, proj)
             )
             if commutative:
-                coords = []
-                for s in subset:
-                    g = group.generator(s)
-                    coords.append(g.vec if group.kind == "abelian" else g.a + g.b + (g.c,))
+                coords = [full_coordinates(group.generator(s)) for s in subset]
                 eface = fp.minimal_face_of_points([tuple(map(_frac, c)) for c in coords])
                 ekey = ("improper",) if eface is IMPROPER else _face_key(fp, eface)
                 keys.add(("comm", _face_key(proj, face), ekey))

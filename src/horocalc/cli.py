@@ -21,7 +21,7 @@ from .errors import BudgetExceededError, HorocalcError, ParseError
 from .groups import MarkedGroup, load_group, parse_word, standard_group
 from .metric import DEFAULT_STATE_CAP, DistanceTable, ball
 
-SCHEMA = 1
+SCHEMA = 2
 
 
 def _jsonable(obj):
@@ -46,7 +46,6 @@ def _emit(args, result: dict, group: MarkedGroup | None, budgets: dict) -> None:
         "version": __version__,
         "command": args.command,
         "seed": args.seed,
-        "threads": args.threads,
         "group_hash": group.group_hash if group is not None else None,
         "budgets": _jsonable(budgets),
         "result": _jsonable(result),
@@ -134,17 +133,28 @@ def _cache_dir(args) -> Path | None:
 
 
 def write_ball_jsonl(table: DistanceTable, path: Path) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps({"schema": SCHEMA, "kind": "ball-cache",
-                             "group_hash": table.group_hash,
-                             "radius": table.radius}, sort_keys=True) + "\n")
-        for key in sorted(table.entries):
-            fh.write(json.dumps({"key": list(key), "dist": table.entries[key]},
-                                sort_keys=True) + "\n")
+    """Write the ball atomically: a temp file in the same directory, then os.replace.
+
+    The header records the entry count, so a truncated file is detected on read.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(json.dumps({"schema": SCHEMA, "kind": "ball-cache",
+                                 "group_hash": table.group_hash,
+                                 "radius": table.radius,
+                                 "count": len(table)}, sort_keys=True) + "\n")
+            for key in sorted(table.entries):
+                fh.write(json.dumps({"key": list(key), "dist": table.entries[key]},
+                                    sort_keys=True) + "\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_ball_jsonl(path: Path, group_hash: str) -> DistanceTable | None:
-    """Load a cached ball; None when missing or invalidated by hash mismatch."""
+    """Load a cached ball; None when missing, unreadable, for another group,
+    or holding a different number of entries than its header records."""
     try:
         with open(path) as fh:
             header = json.loads(fh.readline())
@@ -154,16 +164,24 @@ def read_ball_jsonl(path: Path, group_hash: str) -> DistanceTable | None:
             for line in fh:
                 rec = json.loads(line)
                 entries[tuple(rec["key"])] = rec["dist"]
+            if header.get("count") != len(entries) or not isinstance(header["radius"], int):
+                return None
             return DistanceTable(group_hash, header["radius"], entries)
-    except (OSError, json.JSONDecodeError, KeyError):
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, AttributeError):
         return None
 
 
 def cached_ball(group: MarkedGroup, radius: int, cache_dir: Path | None,
                 max_entries: int | None = None) -> tuple[DistanceTable, str]:
-    """Ball with JSONL cache reuse; returns (table, "hit"|"miss"|"nocache")."""
+    """Ball with JSONL cache reuse.
+
+    Returns (table, state): "hit", "miss", "nocache", or "invalid" when a
+    cache file was found but could not be trusted; the ball is then
+    recomputed and the cache rewritten.
+    """
     if cache_dir is None:
         return ball(group, radius, max_entries=max_entries), "nocache"
+    state = "miss"
     for have in range(radius, radius + 16):
         path = cache_dir / f"{group.group_hash[:16]}_r{have}.jsonl"
         if path.exists():
@@ -171,9 +189,10 @@ def cached_ball(group: MarkedGroup, radius: int, cache_dir: Path | None,
             if table is not None and table.radius >= radius:
                 entries = {k: d for k, d in table.entries.items() if d <= radius}
                 return DistanceTable(group.group_hash, radius, entries), "hit"
+            state = "invalid"
     table = ball(group, radius, max_entries=max_entries)
     write_ball_jsonl(table, cache_dir / f"{group.group_hash[:16]}_r{radius}.jsonl")
-    return table, "miss"
+    return table, state
 
 
 # -- subcommands --------------------------------------------------------
@@ -503,8 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the report/export to this path")
         p.add_argument("--format", default="json", choices=["json", "csv", "jsonl"])
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1,
-                       help="cap on internal parallelism (current ops are sequential)")
         p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
 
     p = sub.add_parser("ball", help="exact metric ball")

@@ -40,10 +40,6 @@ def parse_word(text: str) -> Word:
     return tuple(text.split())
 
 
-def format_word(word: Sequence[str]) -> str:
-    return " ".join(word)
-
-
 def _check_same_kind(g, h):
     if type(g) is not type(h):
         raise GroupKindMismatchError(
@@ -175,12 +171,9 @@ CARTAN_X = CartanElement(1, 0, 0, 0, 0)
 CARTAN_Y = CartanElement(0, 1, 0, 0, 0)
 
 
-def mul(g: GroupElement, h: GroupElement) -> GroupElement:
-    return g * h
-
-
-def inv(g: GroupElement) -> GroupElement:
-    return g.inverse()
+def full_coordinates(g: GroupElement) -> tuple[int, ...]:
+    """All integer coordinates of g: its canonical key without the kind tag."""
+    return g.key()[1:]
 
 
 def abelianize(group: "MarkedGroup", g: GroupElement) -> tuple[int, ...]:
@@ -262,9 +255,6 @@ class MarkedGroup:
             return 2 * self.params
         return 2
 
-    def abelianized_generators(self) -> dict[str, tuple[int, ...]]:
-        return {label: g.abelianized() for label, g in self.generator_items()}
-
     # -- Heisenberg commutator structure -------------------------------
 
     def _compute_commutator_unit(self) -> int | None:
@@ -297,15 +287,8 @@ class MarkedGroup:
     # -- identity / hashing --------------------------------------------
 
     def describe(self) -> dict:
-        gens = []
-        for label, g in self.generator_items():
-            if self.kind == "abelian":
-                coords = list(g.vec)
-            elif self.kind == "heisenberg":
-                coords = list(g.a + g.b) + [g.c]
-            else:
-                coords = [g.x, g.y, g.area2, g.bar6x, g.bar6y]
-            gens.append({"label": label, "coords": coords})
+        gens = [{"label": label, "coords": list(full_coordinates(g))}
+                for label, g in self.generator_items()]
         doc = {"kind": self.kind, "generators": gens}
         if self.kind == "abelian":
             doc["d"] = self.params

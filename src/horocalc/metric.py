@@ -5,17 +5,26 @@ abelianized gauge, which lower-bounds word length (each generator projects
 into the unit ball of the gauge). The heuristic is admissible, so results
 are exact and "exceeds budget" is a proved claim whenever the frontiers were
 exhausted rather than capped.
+
+Searches run on canonical element keys (``GroupElement.key()`` tuples), not
+on element objects: each state is its own hash key, and right multiplication
+by a generator is one step function on keys (see ``_step_fns``). In every
+kind the abelianization is ``key[1:1 + abelian_rank]``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, mul, sub
 from typing import Callable, Sequence
 
-from .errors import BudgetExceededError, DegenerateInputError
-from .groups import GroupElement, MarkedGroup
+from .errors import BudgetExceededError, DegenerateInputError, GroupKindMismatchError
+from .groups import AbelianElement, CartanElement, GroupElement, HeisenbergElement, MarkedGroup
 from .polytope import IMPROPER, Face, Polytope
+
+Key = tuple
+Step = Callable[[Key], Key]
 
 DEFAULT_STATE_CAP = 2_000_000
 
@@ -64,7 +73,7 @@ def _gauge_ceil_fn(group: MarkedGroup) -> Callable[[tuple[int, ...]], int] | Non
     def gauge_ceil(v: tuple[int, ...]) -> int:
         best = 0
         for cov, off in facets:
-            num = sum(a * b for a, b in zip(cov, v))
+            num = sum(map(mul, cov, v))
             if num > 0:
                 q = -(-num // off)
                 if q > best:
@@ -72,6 +81,57 @@ def _gauge_ceil_fn(group: MarkedGroup) -> Callable[[tuple[int, ...]], int] | Non
         return best
 
     return gauge_ceil
+
+
+def _abelian_step(s: AbelianElement) -> Step:
+    if len(s.vec) == 2:
+        dx, dy = s.vec
+        return lambda k: ("a", k[1] + dx, k[2] + dy)
+    vec = s.vec
+    return lambda k: ("a", *map(add, k[1:], vec))
+
+
+def _heisenberg_step(s: HeisenbergElement) -> Step:
+    """(a, b, c)(s_a, s_b, s_c) = (a + s_a, b + s_b, c + s_c + a.s_b): affine in the key."""
+    sc = s.c
+    if len(s.a) == 1:
+        (sa,), (sb,) = s.a, s.b
+
+        def step(k):
+            _, a, b, c = k
+            return ("h", a + sa, b + sb, c + sc + a * sb)
+
+        return step
+    ab, sb, stop = s.a + s.b, s.b, 1 + len(s.a)
+    return lambda k: ("h", *map(add, k[1:-1], ab), k[-1] + sc + sum(map(mul, k[1:stop], sb)))
+
+
+def _cartan_step(s: CartanElement) -> Step:
+    """The polynomial update of ``CartanElement.__mul__`` with the right factor fixed."""
+    x2, y2, a2, bx2, by2 = s.x, s.y, s.area2, s.bar6x, s.bar6y
+
+    def step(k):
+        _, x1, y1, a1, bx1, by1 = k
+        det = x1 * y2 - y1 * x2
+        return ("c", x1 + x2, y1 + y2, a1 + a2 + det,
+                bx1 + bx2 + 3 * x1 * a2 + (2 * x1 + x2) * det,
+                by1 + by2 + 3 * y1 * a2 + (2 * y1 + y2) * det)
+
+    return step
+
+
+_STEP_MAKERS = {"abelian": _abelian_step, "heisenberg": _heisenberg_step, "cartan": _cartan_step}
+
+
+@lru_cache(maxsize=64)
+def _step_fns(group: MarkedGroup) -> tuple[Step, ...]:
+    """Right multiplication by each generator, in label order, as a map on keys.
+
+    Rank-2 abelian groups and H_1 (any generating set) get steps specialised to
+    their rank; every other rank uses the generic step of its kind.
+    """
+    make = _STEP_MAKERS[group.kind]
+    return tuple(make(s) for _, s in group.generator_items())
 
 
 def gauge_lower_bound(group: MarkedGroup, g: GroupElement) -> int:
@@ -91,19 +151,18 @@ def ball(group: MarkedGroup, radius: int, max_entries: int | None = None) -> Dis
     """
     if radius < 0:
         raise DegenerateInputError("radius must be >= 0")
-    gens = [g for _, g in group.generator_items()]
-    e = group.identity
-    entries: dict[tuple, int] = {e.key(): 0}
-    frontier: list[GroupElement] = [e]
+    steps = _step_fns(group)
+    e = group.identity.key()
+    entries: dict[Key, int] = {e: 0}
+    frontier: list[Key] = [e]
     for r in range(1, radius + 1):
-        nxt: list[GroupElement] = []
+        nxt: list[Key] = []
         for g in frontier:
-            for s in gens:
-                h = g * s
-                k = h.key()
+            for step in steps:
+                k = step(g)
                 if k not in entries:
                     entries[k] = r
-                    nxt.append(h)
+                    nxt.append(k)
         if max_entries is not None and len(entries) > max_entries:
             raise BudgetExceededError(
                 f"ball exceeded {max_entries} entries at radius {r}",
@@ -147,6 +206,9 @@ def word_length(
     """
     if budget < 0:
         raise DegenerateInputError("budget must be >= 0")
+    e, start = group.identity.key(), g.key()
+    if len(start) != len(e) or start[0] != e[0]:
+        raise GroupKindMismatchError("element does not belong to this group")
     lower = gauge_lower_bound(group, g)
     if g.is_identity():
         return LengthResult("exact", 0, budget, lower, 0)
@@ -154,28 +216,27 @@ def word_length(
         return LengthResult("exceeds_budget", None, budget, lower, 0)
 
     gauge_fn = _gauge_ceil_fn(group)
-    gens = [s for _, s in group.generator_items()]
-    e = group.identity
+    steps = _step_fns(group)
     target_ab = g.abelianized()
+    stop = 1 + group.abelian_rank
 
-    fwd: dict[tuple, int] = {e.key(): 0}
-    bwd: dict[tuple, int] = {g.key(): 0}
-    fwd_frontier: list[GroupElement] = [e]
-    bwd_frontier: list[GroupElement] = [g]
+    fwd: dict[Key, int] = {e: 0}
+    bwd: dict[Key, int] = {start: 0}
+    fwd_frontier: list[Key] = [e]
+    bwd_frontier: list[Key] = [start]
     df = db = 0
     best = None
     expanded = 0
 
-    def fwd_h(elem: GroupElement) -> int:
+    def fwd_h(k: Key) -> int:
         if gauge_fn is None:
             return 0
-        ab = elem.abelianized()
-        return gauge_fn(tuple(t - a for t, a in zip(target_ab, ab)))
+        return gauge_fn(tuple(map(sub, target_ab, k[1:stop])))
 
-    def bwd_h(elem: GroupElement) -> int:
+    def bwd_h(k: Key) -> int:
         if gauge_fn is None:
             return 0
-        return gauge_fn(elem.abelianized())
+        return gauge_fn(k[1:stop])
 
     while True:
         if best is not None and best <= budget and df + db >= best:
@@ -193,14 +254,13 @@ def word_length(
             frontier, seen, other, depth, h = fwd_frontier, fwd, bwd, df + 1, fwd_h
         else:
             frontier, seen, other, depth, h = bwd_frontier, bwd, fwd, db + 1, bwd_h
-        nxt: list[GroupElement] = []
+        nxt: list[Key] = []
         for node in frontier:
-            for s in gens:
-                child = node * s
-                k = child.key()
+            for step in steps:
+                k = step(node)
                 if k in seen:
                     continue
-                if depth + h(child) > budget:
+                if depth + h(k) > budget:
                     continue
                 seen[k] = depth
                 expanded += 1
@@ -209,7 +269,7 @@ def word_length(
                     cand = depth + od
                     if best is None or cand < best:
                         best = cand
-                nxt.append(child)
+                nxt.append(k)
         if state_cap is not None and len(fwd) + len(bwd) > state_cap:
             levels = (depth + db) if forward else (df + depth)
             if best is not None and best <= budget and levels >= best:

@@ -227,9 +227,6 @@ class Polytope:
 
     # -- queries ---------------------------------------------------------
 
-    def proper_faces(self) -> tuple[Face, ...]:
-        return self.faces
-
     def minimal_face(self, point_indices: Sequence[int]) -> Face | None:
         """Smallest proper face containing the given points, IMPROPER if none."""
         idx = set(point_indices)
@@ -286,11 +283,3 @@ def _intersect_all(sets) -> frozenset:
     for s in sets:
         out = s if out is None else out & s
     return out if out is not None else frozenset()
-
-
-def proper_faces(points: Sequence[Sequence]) -> tuple[Face, ...]:
-    return Polytope(points).proper_faces()
-
-
-def gauge(points: Sequence[Sequence], v: Sequence) -> Fraction:
-    return Polytope(points).gauge(v)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Sequence
 
-from .groups import GroupElement, MarkedGroup
+from .groups import MarkedGroup
 
 
 def naive_ball(group: MarkedGroup, radius: int) -> dict[tuple, int]:
@@ -31,11 +31,6 @@ def naive_ball(group: MarkedGroup, radius: int) -> dict[tuple, int]:
                 dist[k] = d + 1
                 queue.append((h, d + 1))
     return dist
-
-
-def naive_length(group: MarkedGroup, g: GroupElement, radius: int) -> int | None:
-    """Word length via naive_ball, None if above the radius."""
-    return naive_ball(group, radius).get(g.key())
 
 
 def brute_force_anagram_offsets(group: MarkedGroup, word: Sequence[str]) -> set[int]:

@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
 from horocalc.cli import main
+from horocalc.groups import standard_group
+from horocalc.reference import naive_ball
 
 
 def run(capsys, *argv):
@@ -18,7 +22,8 @@ def run_json(capsys, *argv):
 def test_census_cli(capsys):
     doc = run_json(capsys, "census", "--group", "h1")
     assert doc["result"]["orbits"] == 8
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
+    assert "threads" not in doc
     assert doc["group_hash"]
 
 
@@ -86,6 +91,30 @@ def test_ball_cache_roundtrip(tmp_path, capsys):
     doc = run_json(capsys, "ball", "--group", "z2", "--radius", "4",
                    "--cache", str(tmp_path))
     assert doc["result"]["cache"] == "miss"
+
+
+@pytest.mark.parametrize("damage", ["cut", "no_count"])
+def test_ball_cache_damaged_file_is_recomputed(tmp_path, capsys, damage):
+    argv = ("ball", "--group", "h1", "--radius", "6", "--cache", str(tmp_path))
+    assert run_json(capsys, *argv)["result"]["cache"] == "miss"
+    (path,) = tmp_path.iterdir()  # the atomic write leaves no temp file behind
+    lines = path.read_text().splitlines(keepends=True)
+    if damage == "cut":
+        lines = lines[: len(lines) // 2]
+    else:
+        header = json.loads(lines[0])
+        del header["count"]
+        lines[0] = json.dumps(header) + "\n"
+    path.write_text("".join(lines))
+    naive = naive_ball(standard_group("h1"), 6)
+    spheres = [sum(1 for d in naive.values() if d == r) for r in range(7)]
+    res = run_json(capsys, *argv)["result"]
+    assert res["cache"] == "invalid"
+    assert res["size"] == len(naive) == 593
+    assert res["sphere_sizes"] == spheres
+    # the rewritten file is trusted again
+    res = run_json(capsys, *argv)["result"]
+    assert (res["cache"], res["size"], res["sphere_sizes"]) == ("hit", 593, spheres)
 
 
 def test_ball_jsonl_export(tmp_path, capsys):

@@ -1,8 +1,19 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from horocalc.errors import BudgetExceededError, DegenerateInputError
-from horocalc.groups import AbelianElement, parse_word
+from horocalc.errors import BudgetExceededError, DegenerateInputError, GroupKindMismatchError
+from horocalc.groups import (
+    AbelianElement,
+    CartanElement,
+    HeisenbergElement,
+    marked_cartan,
+    marked_heisenberg,
+    parse_word,
+    standard_group,
+)
 from horocalc.metric import (
+    _step_fns,
     ball,
     distance,
     gauge_lower_bound,
@@ -33,9 +44,51 @@ def test_ball_z2_radius2(z2):
     assert len(ball(z2, 0)) == 1
 
 
-def test_ball_matches_naive(z2, h1, cartan):
-    for G, r in ((z2, 7), (h1, 7), (cartan, 5)):
-        assert ball(G, r).entries == naive_ball(G, r)
+# One group per step function: specialised Z^2 and H_1, generic Z^d, H_k and Cartan.
+KERNEL_GROUPS = {
+    name: standard_group(name) for name in ("z1", "z2", "z3", "h1", "h1z", "h2", "cartan")
+}
+KERNEL_GROUPS["h1-custom"] = marked_heisenberg(1, {"p": [1, 1, 2], "q": [-1, 2, 0]})
+KERNEL_GROUPS["h2-custom"] = marked_heisenberg(2, {"p": [1, 0, 2, -1, 3], "q": [0, 1, 1, 1, -2]})
+KERNEL_GROUPS["cartan-custom"] = marked_cartan({"x": "x y", "y": "y"})
+
+
+def _element_from_coords(group, coords):
+    if group.kind == "abelian":
+        return AbelianElement(tuple(coords))
+    if group.kind == "heisenberg":
+        k = group.params
+        return HeisenbergElement(tuple(coords[:k]), tuple(coords[k : 2 * k]), coords[2 * k])
+    return CartanElement(*coords)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(KERNEL_GROUPS)), data=st.data())
+def test_step_fns_match_element_products(name, data):
+    group = KERNEL_GROUPS[name]
+    word = data.draw(st.lists(st.sampled_from(group.labels), max_size=10))
+    size = len(group.identity.key()) - 1
+    coords = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=size, max_size=size))
+    steps = _step_fns(group)
+    for g in (group.evaluate(word), _element_from_coords(group, coords)):
+        for (_, s), step in zip(group.generator_items(), steps, strict=True):
+            assert step(g.key()) == (g * s).key()
+
+
+def test_ball_matches_naive():
+    for name, r in (("z2", 7), ("z3", 4), ("h1", 7), ("h1z", 4), ("h2", 3), ("h2-custom", 3),
+                    ("cartan", 5), ("cartan-custom", 4)):
+        group = KERNEL_GROUPS[name]
+        assert ball(group, r).entries == naive_ball(group, r), name
+
+
+def test_word_length_rejects_foreign_elements(h1):
+    foreign = (AbelianElement((1, 1)), AbelianElement((0, 0)), AbelianElement((40, 40)),
+               standard_group("h2").evaluate(["x1"]), standard_group("h2").identity)
+    for g in foreign:
+        for budget in (0, 4):
+            with pytest.raises(GroupKindMismatchError):
+                word_length(h1, g, budget=budget)
 
 
 def test_ball_contains_central_element(h1):
