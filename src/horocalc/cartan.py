@@ -3,13 +3,13 @@
 The cube-root laws are audited, not proven: reports fit the smallest
 constants admissible over the feasible range and expose the per-step data.
 All element bookkeeping runs in the scaled integer coordinates of
-CartanElement, so exhaustive enumeration stays cheap.
+CartanElement, and the lower audit is an exact dynamic program over
+lattice endpoints instead of an enumeration of words.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -79,18 +79,39 @@ def central_with_barycenter(b: tuple[int, int]) -> tuple:
     return elem, word
 
 
-def _step_state(state, step):
-    """Append one unit generator to a scaled-coordinate Cartan state."""
-    px, py, a2, b6x, b6y = state
-    sx, sy = step
-    det = px * sy - py * sx
-    return (
-        px + sx,
-        py + sy,
-        a2 + det,
-        b6x + (2 * px + sx) * det,
-        b6y + (2 * py + sy) * det,
-    )
+LOWER_AUDIT_MAX_LENGTH = 100  # fail-closed cap on n + delta_max
+
+
+def detour_pairings(target, u_perp, n: int, max_length: int) -> dict[int, tuple[int, int]]:
+    """length -> (max <6B; u_perp>, word count) over the words ending at target.
+
+    Covers every length in n..max_length that some word reaches. Appending
+    the unit step s at endpoint p adds ((2p + s) . u_perp) * det(p, s) to
+    <6B; u_perp>, which depends on (p, s) alone, so one forward max-plus and
+    counting pass over endpoints replaces enumerating the 4^length words.
+    An endpoint farther (in l1) from target than the steps left to
+    max_length is pruned; no word reaching target at any length does so.
+    """
+    tx, ty = target
+    upx, upy = u_perp
+    steps = tuple(STANDARD_GRID.values())
+    layer = {(0, 0): (0, 1)}
+    out = {}
+    for k in range(max_length + 1):
+        if k >= n and target in layer:
+            out[k] = layer[target]
+        left = max_length - k - 1
+        nxt: dict[tuple[int, int], tuple[int, int]] = {}
+        for (px, py), (best, count) in layer.items():
+            for sx, sy in steps:
+                q = (px + sx, py + sy)
+                if abs(tx - q[0]) + abs(ty - q[1]) > left:
+                    continue
+                val = best + ((2 * px + sx) * upx + (2 * py + sy) * upy) * (px * sy - py * sx)
+                old = nxt.get(q)
+                nxt[q] = (val, count) if old is None else (max(old[0], val), old[1] + count)
+        layer = nxt
+    return out
 
 
 @dataclass
@@ -101,61 +122,35 @@ class LowerAuditReport:
     per_delta: list[dict]  # {"delta", "length", "words", "max6"}
     fitted_m: Fraction | None
     extremal_at_zero: bool
-    mode: str
 
 
-def bound_audit_lower(
-    u: tuple[int, int],
-    n: int,
-    delta_max: int,
-    mode: str = "exhaustive",
-    samples: int = 20_000,
-    seed: int = 0,
-) -> LowerAuditReport:
+def bound_audit_lower(u: tuple[int, int], n: int, delta_max: int) -> LowerAuditReport:
     """Audit the barycenter pairing of all detour words against the digitized ray.
 
-    For each extra length delta, enumerate (or sample) the words of length
-    n + delta with the same endpoint as the digitized prefix, record the
-    maximal <B; u_perp>, and fit the least constant M with
+    For each extra length delta, take all words of length n + delta with
+    the same endpoint as the digitized prefix, record the maximal
+    <B; u_perp> exactly, and fit the least constant M with
     max <= reference + M * delta^3 across the buckets.
     """
     frame = DirectionFrame.from_direction(u)
-    if mode == "exhaustive" and n + delta_max > 12:
+    if n < 0 or delta_max < 0:
+        raise DegenerateInputError(f"n and delta must be nonnegative, got {n} and {delta_max}")
+    if n + delta_max > LOWER_AUDIT_MAX_LENGTH:
         raise BudgetExceededError(
-            f"exhaustive audit limited to n + delta <= 12, got {n + delta_max}"
+            f"lower audit limited to n + delta <= {LOWER_AUDIT_MAX_LENGTH}, got {n + delta_max}"
         )
-    if mode not in ("exhaustive", "search"):
-        raise DegenerateInputError("mode must be 'exhaustive' or 'search'")
 
     group = standard_group("cartan")
     gamma = ray_elements(group, DigitizedRay(frame.u), n)[-1]
-    target = gamma.endpoint
     ref6 = perp_pairing6(gamma, frame.u_perp)
-    steps = list(STANDARD_GRID.values())
+    buckets = detour_pairings(gamma.endpoint, frame.u_perp, n, n + delta_max)
+    per_delta = [
+        {"delta": length - n, "length": length, "words": count, "max6": best}
+        for length, (best, count) in buckets.items()
+    ]
 
-    per_delta = []
-    for delta in range(0, delta_max + 1):
-        length = n + delta
-        l1 = abs(target[0]) + abs(target[1])
-        if (length - l1) % 2 == 1 or length < l1:
-            continue
-        if mode == "exhaustive":
-            best, count = _exhaustive_max(target, length, frame.u_perp, steps)
-        else:
-            best, count = _sampled_max(target, length, frame.u_perp, samples, seed + delta)
-        if best is None:
-            continue
-        per_delta.append({"delta": delta, "length": length, "words": count, "max6": best})
-
-    fitted = None
-    for rec in per_delta:
-        if rec["delta"] == 0:
-            continue
-        need = Fraction(rec["max6"] - ref6, 6 * rec["delta"] ** 3)
-        if fitted is None or need > fitted:
-            fitted = need
-    if fitted is not None:
-        fitted = max(fitted, Fraction(0))
+    needs = [Fraction(r["max6"] - ref6, 6 * r["delta"] ** 3) for r in per_delta if r["delta"]]
+    fitted = max(needs + [Fraction(0)]) if needs else None
     zero = next((r for r in per_delta if r["delta"] == 0), None)
     extremal = zero is not None and zero["max6"] <= ref6
     return LowerAuditReport(
@@ -165,70 +160,7 @@ def bound_audit_lower(
         per_delta=per_delta,
         fitted_m=fitted,
         extremal_at_zero=extremal,
-        mode=mode,
     )
-
-
-def _exhaustive_max(target, length, u_perp, steps):
-    """DFS over all words of the given length ending at target; max pairing."""
-    best = None
-    count = 0
-    tx, ty = target
-    upx, upy = u_perp
-    stack = [((0, 0, 0, 0, 0), length)]
-    # iterative DFS; state space is tiny thanks to the l1 feasibility prune
-    while stack:
-        state, remaining = stack.pop()
-        px, py = state[0], state[1]
-        need = abs(tx - px) + abs(ty - py)
-        if need > remaining:
-            continue
-        if remaining == 0:
-            count += 1
-            val = state[3] * upx + state[4] * upy
-            if best is None or val > best:
-                best = val
-            continue
-        for step in steps:
-            stack.append((_step_state(state, step), remaining - 1))
-    return best, count
-
-
-def _sampled_max(target, length, u_perp, samples, seed):
-    """Random words with the right endpoint: sample a step multiset, shuffle."""
-    tx, ty = target
-    rng = random.Random(seed)
-    splits = []
-    weights = []
-    for r in range(length + 1):
-        l = r - tx
-        rest = length - r - l
-        if l < 0 or rest < 0:
-            continue
-        if (rest - abs(ty)) % 2 != 0 or rest < abs(ty):
-            continue
-        up = (rest + ty) // 2
-        dn = (rest - ty) // 2
-        splits.append((r, l, up, dn))
-        weights.append(
-            math.comb(length, r) * math.comb(length - r, l) * math.comb(rest, up)
-        )
-    if not splits:
-        return None, 0
-    best = None
-    for _ in range(samples):
-        r, l, up, dn = rng.choices(splits, weights=weights)[0]
-        word = ["R"] * r + ["L"] * l + ["U"] * up + ["D"] * dn
-        rng.shuffle(word)
-        state = (0, 0, 0, 0, 0)
-        for w in word:
-            state = _step_state(state, {"R": (1, 0), "L": (-1, 0), "U": (0, 1), "D": (0, -1)}[w])
-        if (state[0], state[1]) != (tx, ty):
-            raise AssertionError(f"sampled word ends at {state[:2]}, not {target} (hard bug)")
-        val = state[3] * u_perp[0] + state[4] * u_perp[1]
-        if best is None or val > best:
-            best = val
-    return best, samples
 
 
 @dataclass
@@ -257,6 +189,8 @@ def bound_audit_upper(
     term. Budget exhaustion yields a partial (prefix) report.
     """
     frame = DirectionFrame.from_direction(u)
+    if any(n < 0 for n in n_values):
+        raise DegenerateInputError(f"ray lengths must be nonnegative, got {list(n_values)}")
     group = standard_group("cartan")
     h_word = tuple(h_word)
     h = group.evaluate(h_word)

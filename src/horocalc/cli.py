@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import io
 import json
 import os
@@ -21,7 +22,7 @@ from .errors import BudgetExceededError, HorocalcError, ParseError
 from .groups import MarkedGroup, load_group, parse_word, standard_group
 from .metric import DEFAULT_STATE_CAP, DistanceTable, ball
 
-SCHEMA = 2
+SCHEMA = 3
 
 
 def _jsonable(obj):
@@ -92,17 +93,17 @@ def _parse_ray(text: str):
 
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"ray spec is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("ray spec must be a JSON object")
-    if "digitized" in doc:
-        a, b = doc["digitized"]
-        return DigitizedRay((int(a), int(b)))
-    if "periodic" in doc:
-        body = doc["periodic"]
-        return PeriodicRay(parse_word(body.get("prefix", "")), parse_word(body["block"]))
-    raise ParseError("ray spec needs a 'digitized' or 'periodic' key")
+        if "digitized" in doc:
+            a, b = doc["digitized"]
+            if type(a) is int and type(b) is int:
+                return DigitizedRay((a, b))
+        elif "periodic" in doc:
+            body = doc["periodic"]
+            return PeriodicRay(parse_word(body.get("prefix", "")), parse_word(body["block"]))
+    except (ValueError, TypeError, AttributeError, KeyError) as exc:
+        raise ParseError(f"ray spec {text!r} is malformed: {exc}") from exc
+    raise ParseError("ray spec must be a JSON object with a 'digitized' pair of integers "
+                     "or a 'periodic' object with a 'block' word")
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
@@ -114,10 +115,13 @@ def _parse_pair(text: str) -> tuple[int, int]:
 
 
 def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..")
+            return list(range(int(lo), int(hi) + 1))
+        return [int(tok) for tok in text.split(",") if tok]
+    except ValueError as exc:
+        raise ParseError(f"expected 'lo..hi' or 'a,b,...' integers, got {text!r}") from exc
 
 
 # -- ball cache ---------------------------------------------------------
@@ -135,18 +139,26 @@ def _cache_dir(args) -> Path | None:
 def write_ball_jsonl(table: DistanceTable, path: Path) -> None:
     """Write the ball atomically: a temp file in the same directory, then os.replace.
 
-    The header records the entry count, so a truncated file is detected on read.
+    The header records the entry count and a SHA-256 digest of the record
+    lines, so a truncated or edited file is detected on read. The digest is
+    known only after the records, so the header is first written with a
+    placeholder of the same width and then overwritten in place.
     """
+    header = {"schema": SCHEMA, "kind": "ball-cache", "group_hash": table.group_hash,
+              "radius": table.radius, "count": len(table), "digest": "0" * 64}
+    digest = hashlib.sha256()
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w") as fh:
-            fh.write(json.dumps({"schema": SCHEMA, "kind": "ball-cache",
-                                 "group_hash": table.group_hash,
-                                 "radius": table.radius,
-                                 "count": len(table)}, sort_keys=True) + "\n")
+            fh.write(json.dumps(header, sort_keys=True) + "\n")
             for key in sorted(table.entries):
-                fh.write(json.dumps({"key": list(key), "dist": table.entries[key]},
-                                    sort_keys=True) + "\n")
+                line = json.dumps({"key": list(key), "dist": table.entries[key]},
+                                  sort_keys=True) + "\n"
+                digest.update(line.encode())
+                fh.write(line)
+            header["digest"] = digest.hexdigest()
+            fh.seek(0)
+            fh.write(json.dumps(header, sort_keys=True) + "\n")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -154,17 +166,20 @@ def write_ball_jsonl(table: DistanceTable, path: Path) -> None:
 
 def read_ball_jsonl(path: Path, group_hash: str) -> DistanceTable | None:
     """Load a cached ball; None when missing, unreadable, for another group,
-    or holding a different number of entries than its header records."""
+    or when its entry count or digest does not match its header."""
     try:
         with open(path) as fh:
             header = json.loads(fh.readline())
             if header.get("group_hash") != group_hash or header.get("kind") != "ball-cache":
                 return None
+            digest = hashlib.sha256()
             entries = {}
             for line in fh:
+                digest.update(line.encode())
                 rec = json.loads(line)
                 entries[tuple(rec["key"])] = rec["dist"]
-            if header.get("count") != len(entries) or not isinstance(header["radius"], int):
+            if (header.get("count") != len(entries) or header.get("digest") != digest.hexdigest()
+                    or not isinstance(header["radius"], int)):
                 return None
             return DistanceTable(group_hash, header["radius"], entries)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, AttributeError):
@@ -356,8 +371,7 @@ def cmd_cartan_audit(args):
     group = standard_group("cartan")
     u = _parse_pair(args.direction)
     if args.audit == "lower":
-        rep = bound_audit_lower(u, args.n, args.delta, mode=args.mode,
-                                samples=args.samples, seed=args.seed)
+        rep = bound_audit_lower(u, args.n, args.delta)
         if args.format == "csv":
             rows = [
                 {
@@ -371,8 +385,7 @@ def cmd_cartan_audit(args):
             ]
             _emit_csv(args, rows)
             return 0
-        _emit(args, {"lower": rep}, group, {"n": args.n, "delta": args.delta,
-                                            "mode": args.mode})
+        _emit(args, {"lower": rep}, group, {"n": args.n, "delta": args.delta})
         return 0
     rep = bound_audit_upper(u, parse_word(args.element), _parse_range(args.n_range),
                             state_cap=args.state_cap)
@@ -422,7 +435,7 @@ def cmd_subfinsler(args):
     if args.polygon == "auto":
         polygon = auto_polygon(group)
     else:
-        polygon = SymmetricPolygon(json.loads(args.polygon))
+        polygon = SymmetricPolygon(_parse_polygon(args.polygon))
     cls = _parse_class(args.cls)
     result = {"polygon": [list(v) for v in polygon.vertices], "class": args.cls}
     if args.fingerprint is not None:
@@ -436,32 +449,46 @@ def cmd_subfinsler(args):
     return 0
 
 
+def _parse_polygon(text: str) -> list[tuple[Fraction, Fraction]]:
+    """A JSON list of [x, y] vertices with integer, decimal or "p/q" coordinates."""
+    try:
+        doc = json.loads(text)
+        if isinstance(doc, list) and all(isinstance(p, list) for p in doc):
+            return [(Fraction(x), Fraction(y)) for x, y in doc]
+    except (ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:
+        raise ParseError(f"polygon {text!r} is malformed: {exc}") from exc
+    raise ParseError("polygon must be a JSON list of [x, y] vertices")
+
+
 def _parse_class(text: str):
     from .subfinsler import Mixed, NonVertical, Vertical
 
-    if text == "vertical":
-        return Vertical()
-    if text.startswith("nonvertical:"):
-        k, r = text.split(":", 1)[1].split(",")
-        return NonVertical(int(k), Fraction(r))
-    if text.startswith("mixed:"):
-        parts = text.split(":", 1)[1].split(",")
-        i, r = int(parts[0]), Fraction(parts[1])
-        orientation = parts[2] if len(parts) > 2 else "le"
-        variant = int(parts[3]) if len(parts) > 3 else 1
-        return Mixed(i, r, orientation, variant)
+    kind, _, rest = text.partition(":")
+    parts = rest.split(",")
+    try:
+        if text == "vertical":
+            return Vertical()
+        if kind == "nonvertical" and len(parts) == 2:
+            return NonVertical(int(parts[0]), Fraction(parts[1]))
+        if kind == "mixed" and 2 <= len(parts) <= 4:
+            orientation = parts[2] if len(parts) > 2 else "le"
+            variant = int(parts[3]) if len(parts) > 3 else 1
+            return Mixed(int(parts[0]), Fraction(parts[1]), orientation, variant)
+    except (ValueError, ZeroDivisionError):
+        pass
     raise ParseError(
-        "class must be vertical, nonvertical:k,r or mixed:i,r[,le|ge][,1|2]"
+        f"class must be vertical, nonvertical:k,r or mixed:i,r[,le|ge][,1|2], got {text!r}"
     )
 
 
 def cmd_selftest(args):
     import random
 
+    from .cartan import detour_pairings
     from .classifier import anagram_set
     from .groups import cartan_word_element
     from .metric import ball as _ball
-    from .reference import brute_force_anagram_offsets, naive_ball
+    from .reference import brute_force_anagram_offsets, brute_force_detour_pairings, naive_ball
     from .winding import cartan_path_oracle
 
     rng = random.Random(args.seed)
@@ -499,6 +526,14 @@ def cmd_selftest(args):
         bf = brute_force_anagram_offsets(h1, w) if w else {0}
         ok &= dp == frozenset(bf)
     checks["anagram_dp_vs_bruteforce"] = ok
+
+    ok = True
+    for _ in range(6):
+        target = (rng.randint(-3, 3), rng.randint(-3, 3))
+        u_perp = (rng.randint(-3, 3), rng.randint(-3, 3))
+        case = (target, u_perp, rng.randint(0, 7), 7)
+        ok &= detour_pairings(*case) == brute_force_detour_pairings(*case)
+    checks["lower_audit_dp_vs_dfs"] = ok
 
     passed = all(checks.values())
     _emit(args, {"passed": passed, "checks": checks}, None, {})
@@ -580,8 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", required=True, help="a,b")
     p.add_argument("--n", type=int, default=6, help="ray prefix length (lower audit)")
     p.add_argument("--delta", type=int, default=2)
-    p.add_argument("--mode", default="exhaustive", choices=["exhaustive", "search"])
-    p.add_argument("--samples", type=int, default=20000)
     p.add_argument("--element", default="x y x~ y~", help="central word (upper audit)")
     p.add_argument("--n-range", default="2..8", help="ray lengths (upper audit)")
     p.set_defaults(func=cmd_cartan_audit)

@@ -1,8 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately avoid the optimized code paths: a plain FIFO breadth-first
-search for distances, permutation brute force for anagram offsets, and a
-region-boundary walk for digitized rays. The self-test suite and the test
+search for distances, permutation brute force for anagram offsets, a
+region-boundary walk for digitized rays, and a depth-first enumeration of
+Cartan words for the lower audit. The self-test suite and the test
 suite compare them against the production implementations.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Sequence
 
-from .groups import MarkedGroup
+from .groups import MarkedGroup, standard_group
 
 
 def naive_ball(group: MarkedGroup, radius: int) -> dict[tuple, int]:
@@ -94,3 +95,32 @@ def brute_force_digitized(direction: tuple[int, int], n: int) -> tuple[str, ...]
         if len(letters) < n:
             letters.append("x")
     return tuple(letters[:n])
+
+
+def brute_force_detour_pairings(target, u_perp, n: int, max_length: int) -> dict:
+    """length -> (max <6B; u_perp>, word count) over the Cartan words ending at target.
+
+    Enumerates every word of length <= max_length by depth-first search,
+    multiplying CartanElement values and pairing the barycenter of each
+    word that ends at target, so it shares no formula with the dynamic
+    program it checks. Prefixes too far (l1) from target are pruned. Only
+    sensible for max_length <= 10 or so.
+    """
+    from .cartan import perp_pairing6
+
+    group = standard_group("cartan")
+    gens = [g for _, g in group.generator_items()]
+    out: dict[int, tuple[int, int]] = {}
+    stack = [(group.identity, 0)]
+    while stack:
+        g, k = stack.pop()
+        gap = abs(target[0] - g.x) + abs(target[1] - g.y)
+        if gap > max_length - k:
+            continue
+        if gap == 0 and k >= n:
+            val = perp_pairing6(g, u_perp)
+            best, count = out.get(k, (val, 0))
+            out[k] = (max(best, val), count + 1)
+        if k < max_length:
+            stack.extend((g * s, k + 1) for s in gens)
+    return dict(sorted(out.items()))

@@ -1,12 +1,17 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horocalc.cartan import (
+    LOWER_AUDIT_MAX_LENGTH,
     DirectionFrame,
     bound_audit_lower,
     bound_audit_upper,
     central_with_barycenter,
+    detour_pairings,
     distinctness_witness,
     perp_pairing6,
     pick_witness_barycenter,
@@ -14,6 +19,8 @@ from horocalc.cartan import (
 )
 from horocalc.errors import BudgetExceededError, DegenerateInputError
 from horocalc.groups import parse_word, standard_group
+from horocalc.horoboundary import DigitizedRay, ray_elements
+from horocalc.reference import brute_force_detour_pairings
 from horocalc.winding import cartan_path_oracle
 
 
@@ -76,19 +83,50 @@ def test_bound_audit_lower_loops():
 
 
 def test_bound_audit_lower_budget():
+    assert LOWER_AUDIT_MAX_LENGTH == 100
     with pytest.raises(BudgetExceededError):
-        bound_audit_lower((1, 1), 12, 2)
+        bound_audit_lower((1, 1), 99, 2)
+    rep = bound_audit_lower((1, 1), 12, 2)
+    assert rep.extremal_at_zero
+    assert [r["words"] for r in rep.per_delta] == [924, 48048]  # C(12,6), 14 * C(14,7)
+    # a negative delta or n is a domain error, not an empty report
     with pytest.raises(DegenerateInputError):
-        bound_audit_lower((1, 1), 4, 2, mode="banana")
+        bound_audit_lower((1, 1), 4, -2)
+    with pytest.raises(DegenerateInputError):
+        bound_audit_lower((1, 1), -1, 2)
 
 
-def test_bound_audit_lower_search_mode():
-    exact = bound_audit_lower((1, 1), 6, 2)
-    sampled = bound_audit_lower((1, 1), 6, 2, mode="search", samples=3000)
-    ex = {r["delta"]: r["max6"] for r in exact.per_delta}
-    sm = {r["delta"]: r["max6"] for r in sampled.per_delta}
-    for d, v in sm.items():
-        assert v <= ex[d]
+def _walk_count(length, target):
+    a, b = target[0] + target[1], target[0] - target[1]
+    return math.comb(length, (length + a) // 2) * math.comb(length, (length + b) // 2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    u=st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda v: v != (0, 0)),
+    n=st.integers(0, 10),
+    data=st.data(),
+)
+def test_detour_pairings_match_the_word_enumeration(u, n, data):
+    delta_max = data.draw(st.integers(0, 10 - n), label="delta_max")
+    frame = DirectionFrame.from_direction(u)
+    group = standard_group("cartan")
+    target = ray_elements(group, DigitizedRay(frame.u), n)[-1].endpoint
+    dp = detour_pairings(target, frame.u_perp, n, n + delta_max)
+    assert dp == brute_force_detour_pairings(target, frame.u_perp, n, n + delta_max)
+    l1 = abs(target[0]) + abs(target[1])
+    assert sorted(dp) == [k for k in range(n, n + delta_max + 1) if k >= l1 and (k - l1) % 2 == 0]
+    for length, (_, words) in dp.items():
+        assert words == _walk_count(length, target)
+    rep = bound_audit_lower(u, n, delta_max)
+    assert [(r["length"], r["max6"], r["words"]) for r in rep.per_delta] == [
+        (k, best, words) for k, (best, words) in dp.items()
+    ]
+
+
+def test_bound_audit_upper_rejects_negative_lengths():
+    with pytest.raises(DegenerateInputError):
+        bound_audit_upper((1, 1), parse_word("x y x~ y~"), [-1, 2])
 
 
 def test_bound_audit_upper_identity():

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horocalc.cli import main
 from horocalc.groups import standard_group
@@ -22,7 +26,7 @@ def run_json(capsys, *argv):
 def test_census_cli(capsys):
     doc = run_json(capsys, "census", "--group", "h1")
     assert doc["result"]["orbits"] == 8
-    assert doc["schema"] == 2
+    assert doc["schema"] == 3
     assert "threads" not in doc
     assert doc["group_hash"]
 
@@ -93,7 +97,7 @@ def test_ball_cache_roundtrip(tmp_path, capsys):
     assert doc["result"]["cache"] == "miss"
 
 
-@pytest.mark.parametrize("damage", ["cut", "no_count"])
+@pytest.mark.parametrize("damage", ["cut", "no_count", "edited_dist"])
 def test_ball_cache_damaged_file_is_recomputed(tmp_path, capsys, damage):
     argv = ("ball", "--group", "h1", "--radius", "6", "--cache", str(tmp_path))
     assert run_json(capsys, *argv)["result"]["cache"] == "miss"
@@ -101,10 +105,15 @@ def test_ball_cache_damaged_file_is_recomputed(tmp_path, capsys, damage):
     lines = path.read_text().splitlines(keepends=True)
     if damage == "cut":
         lines = lines[: len(lines) // 2]
-    else:
+    elif damage == "no_count":
         header = json.loads(lines[0])
         del header["count"]
         lines[0] = json.dumps(header) + "\n"
+    else:
+        # same count, same line structure: only the digest can tell
+        rec = json.loads(lines[1])
+        rec["dist"] = 7
+        lines[1] = json.dumps(rec, sort_keys=True) + "\n"
     path.write_text("".join(lines))
     naive = naive_ball(standard_group("h1"), 6)
     spheres = [sum(1 for d in naive.values() if d == r) for r in range(7)]
@@ -203,3 +212,75 @@ def test_exit_codes(capsys, tmp_path):
     code, _ = run(capsys, "compare-rays", "--group", "z2",
                   "--ray1", "nonsense", "--ray2", "{}")
     assert code == 4
+    code, out = run(capsys, "cartan-audit", "--direction", "1,1", "--n", "4", "--delta", "-2")
+    assert (code, out) == (2, "")
+    code, _ = run(capsys, "cartan-audit", "--direction", "1,1", "--n", "50", "--delta", "51")
+    assert code == 3
+
+
+BAD_INPUTS = [
+    ("ray", "--group", "h1", "--ray", '{"digitized":[1]}'),
+    ("ray", "--group", "h1", "--ray", '{"digitized":["a",1]}'),
+    ("ray", "--group", "z2", "--ray", '{"periodic":"x"}'),
+    ("subfinsler", "--polygon", "[[1,0"),
+    ("subfinsler", "--class", "nonvertical:1"),
+    ("subfinsler", "--class", "mixed:1"),
+    ("cartan-audit", "--audit", "upper", "--direction", "1,1", "--n-range", "5.."),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS, ids=lambda argv: " ".join(argv[:1] + argv[-1:]))
+def test_malformed_arguments_are_parse_errors(capsys, argv):
+    assert main(list(argv)) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("horocalc: parse error:") and "Traceback" not in err
+
+
+def _fuzz_text(*near):
+    """Arbitrary text, or text built from the given fragments."""
+    pieces = st.sampled_from(near + (",", ":", "..", "-", "/", "[", "]", "{", "}", '"'))
+    built = st.lists(st.one_of(pieces, st.integers(-3, 3).map(str)), max_size=8).map("".join)
+    return st.one_of(st.text(max_size=12), built)
+
+
+_json_value = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                               max_size=2),
+    max_leaves=6,
+)
+_ray_doc = st.one_of(
+    st.fixed_dictionaries({"digitized": _json_value}),
+    st.fixed_dictionaries({"periodic": _json_value}),
+    st.fixed_dictionaries({"periodic": st.fixed_dictionaries(
+        {"block": _fuzz_text("x", "y", "x~", " ")},
+        optional={"prefix": _json_value})}),
+    _json_value,
+).map(json.dumps)
+
+FUZZED_ARGV = st.one_of(
+    st.tuples(st.just("ray"), st.sampled_from(["--group=h1", "--group=z2", "--group=cartan"]),
+              st.one_of(_ray_doc, _fuzz_text('{"digitized":', '{"periodic":')).map(
+                  lambda text: "--ray=" + text),
+              st.just("--length=3")),
+    st.tuples(st.just("subfinsler"), st.just("--group=h1"),
+              st.one_of(st.just("auto"), _json_value.map(json.dumps), _fuzz_text("1/2", "0.5"))
+              .map(lambda text: "--polygon=" + text),
+              _fuzz_text("vertical", "nonvertical", "mixed", "le", "ge").map(
+                  lambda text: "--class=" + text)),
+    st.tuples(st.just("cartan-audit"), st.just("--audit=upper"), st.just("--direction=1,1"),
+              _fuzz_text().map(lambda text: "--n-range=" + text), st.just("--state-cap=2000")),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=FUZZED_ARGV)
+def test_fuzzed_arguments_never_end_in_a_traceback(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse rejected the arguments
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
