@@ -284,7 +284,10 @@ def distinctness_witness(
     Evaluates both rays against powers of the separating central element;
     the u-side values stay strictly positive while the v-side values drop
     (often certifying 0 exactly). All numbers are monotone horizon values.
+    ``powers`` must be a nonempty list of integers >= 1.
     """
+    if not powers or min(powers) < 1:
+        raise DegenerateInputError(f"powers must be nonempty integers >= 1, got {list(powers)}")
     group = standard_group("cartan")
     b = pick_witness_barycenter(u, v)
     _, h_word = central_with_barycenter(b)
@@ -341,7 +344,11 @@ def stabilizer_escape(
     Uses the square pair h = [x,y][x~,y~] (area 2, barycenter 0) and compares
     b(h^k) with (g^m . b)(h^k) = b(g^{-m} h^k) - b(g^{-m}) for the smallest
     power m that points the translated barycenter against u_perp.
+    ``powers`` must be a nonempty list of integers >= 0; power 0 gives the
+    trivial row of zeros.
     """
+    if not powers or min(powers) < 0:
+        raise DegenerateInputError(f"powers must be nonempty integers >= 0, got {list(powers)}")
     frame = DirectionFrame.from_direction(u)
     group = standard_group("cartan")
     g_word = tuple(g_word)

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from typing import Collection, Sequence
 
 from .errors import BudgetExceededError, DegenerateInputError, GroupKindMismatchError, SpecNotGeodesicError
 from .groups import MarkedGroup, Word, commutator_z_exponent, full_coordinates
 from .horoboundary import RaySpec
-from .metric import projected_polytope
+from .metric import letter_face, projected_polytope
 from .polytope import IMPROPER, Face, Polytope
 
 MAX_CENSUS_GENERATORS = 20
@@ -36,16 +37,13 @@ def _require_classifiable(group: MarkedGroup) -> str:
     )
 
 
+@lru_cache(maxsize=64)
 def full_polytope(group: MarkedGroup) -> Polytope:
     """Hull of the generators in full coordinates (needed for E faces)."""
     return Polytope([full_coordinates(g) for _, g in group.generator_items()])
 
 
-def _face_key(poly: Polytope, face: Face) -> tuple:
-    return face.member_key(poly)
-
-
-def face_labels(group: MarkedGroup, face: Face, poly: Polytope) -> list[str]:
+def face_labels(group: MarkedGroup, face: Face) -> list[str]:
     """Generator labels whose projection lies on the face.
 
     The projected polytope's points are indexed in generator order, so face
@@ -56,12 +54,6 @@ def face_labels(group: MarkedGroup, face: Face, poly: Polytope) -> list[str]:
         for i, (label, _) in enumerate(group.generator_items())
         if i in face.members
     ]
-
-
-def _frac(v):
-    from fractions import Fraction
-
-    return Fraction(v)
 
 
 def _is_commutative_face(group: MarkedGroup, labels: Sequence[str]) -> bool:
@@ -83,39 +75,37 @@ class RayInvariants:
     full_face_key: tuple | None  # minimal face of the full hull, None if unavailable
 
 
-def direction_letters(spec: RaySpec) -> frozenset[str]:
-    """Letters occurring infinitely often in the ray."""
-    return spec.tail_letters()
+def _orbit_data(group: MarkedGroup, mode: str, letters: Collection[str], fp: Polytope | None):
+    """(projected face key, commutative, full-hull face key) of a letter set.
+
+    None when the letters lie on no proper face of the projected hull. The
+    full-hull key is None without a full hull ``fp`` and ("improper",) when
+    no proper face of it holds the letters.
+    """
+    face = letter_face(group, letters)
+    if face is IMPROPER:
+        return None
+    commutative = mode != "2step" or _is_commutative_face(group, face_labels(group, face))
+    full_key = None
+    if fp is not None:
+        eface = fp.minimal_face_of_points([full_coordinates(group.generator(s)) for s in letters])
+        full_key = ("improper",) if eface is IMPROPER else eface.member_key(fp)
+    return face.member_key(projected_polytope(group)), commutative, full_key
 
 
 def ray_invariants(group: MarkedGroup, spec: RaySpec) -> RayInvariants:
     mode = _require_classifiable(group)
-    letters = direction_letters(spec)
-    proj = projected_polytope(group)
-    pts = [group.generator(s).abelianized() for s in letters]
-    face = proj.minimal_face_of_points(pts)
-    if face is IMPROPER:
-        raise SpecNotGeodesicError(
-            "the ray's recurring letters lie on no proper face, so it is not geodesic"
-        )
-    commutative = mode != "2step" or _is_commutative_face(
-        group, face_labels(group, face, proj)
-    )
-    full_key = None
+    letters = spec.tail_letters()
     try:
         fp = full_polytope(group)
     except DegenerateInputError:
         fp = None
-    if fp is not None:
-        fidx = [tuple(map(_frac, full_coordinates(group.generator(s)))) for s in letters]
-        eface = fp.minimal_face_of_points(fidx)
-        full_key = ("improper",) if eface is IMPROPER else _face_key(fp, eface)
-    return RayInvariants(
-        direction_letters=letters,
-        face_key=_face_key(proj, face),
-        face_commutative=commutative,
-        full_face_key=full_key,
-    )
+    data = _orbit_data(group, mode, letters, fp)
+    if data is None:
+        raise SpecNotGeodesicError(
+            "the ray's recurring letters lie on no proper face, so it is not geodesic"
+        )
+    return RayInvariants(letters, *data)
 
 
 def same_orbit(group: MarkedGroup, spec1: RaySpec, spec2: RaySpec) -> tuple[bool, str]:
@@ -160,25 +150,15 @@ def orbit_census(group: MarkedGroup) -> CensusReport:
         raise BudgetExceededError(
             f"census over {len(labels)} generators needs 2^{len(labels)} subsets; refusing"
         )
-    proj = projected_polytope(group)
     fp = full_polytope(group)
     keys = set()
     for r in range(1, len(labels) + 1):
         for subset in itertools.combinations(labels, r):
-            pts = [group.generator(s).abelianized() for s in subset]
-            face = proj.minimal_face_of_points(pts)
-            if face is IMPROPER:
+            data = _orbit_data(group, mode, subset, fp)
+            if data is None:
                 continue
-            commutative = mode != "2step" or _is_commutative_face(
-                group, face_labels(group, face, proj)
-            )
-            if commutative:
-                coords = [full_coordinates(group.generator(s)) for s in subset]
-                eface = fp.minimal_face_of_points([tuple(map(_frac, c)) for c in coords])
-                ekey = ("improper",) if eface is IMPROPER else _face_key(fp, eface)
-                keys.add(("comm", _face_key(proj, face), ekey))
-            else:
-                keys.add(("noncomm", _face_key(proj, face)))
+            face_key, commutative, full_key = data
+            keys.add(("comm", face_key, full_key) if commutative else ("noncomm", face_key))
     ordered = sorted(keys, key=repr)
     return CensusReport(mode=mode, orbit_keys=ordered, count=len(ordered))
 

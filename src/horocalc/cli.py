@@ -319,20 +319,21 @@ def cmd_busemann(args):
 def cmd_compare_rays(args):
     from .horoboundary import reduced_equiv, same_busemann
 
+    if args.criterion == "switch1b" and args.slack is not None:
+        raise ParseError("--slack applies to --criterion switch2b only")
+    slack = args.slack or 0
     group = _load_group_arg(args)
     s1 = _parse_ray(args.ray1)
     s2 = _parse_ray(args.ray2)
     if args.criterion == "switch1b":
         res = same_busemann(group, s1, s2, args.n_max, args.m_max, state_cap=args.state_cap)
-    elif args.criterion == "switch2b":
-        res = reduced_equiv(group, s1, s2, args.slack, args.n_max, args.m_max,
-                            state_cap=args.state_cap)
     else:
-        raise ParseError("criterion must be switch1b or switch2b")
+        res = reduced_equiv(group, s1, s2, slack, args.n_max, args.m_max,
+                            state_cap=args.state_cap)
     result = {"ray1": s1.describe(), "ray2": s2.describe(), "criterion": args.criterion,
               "comparison": res, "verified_up_to": [args.n_max, args.m_max]}
     _emit(args, result, group, {"n_max": args.n_max, "m_max": args.m_max,
-                                "slack": args.slack, "outcome": res.status})
+                                "slack": slack, "outcome": res.status})
     return 0
 
 
@@ -551,16 +552,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"horocalc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, group_required=True):
-        p.add_argument("--group", help="group JSON file or preset name")
-        p.add_argument("--cache", help="ball cache directory (env HOROCALC_CACHE)")
+    def common(p, group=True, state_cap=True):
+        """The options a command reads: --out and --seed always, the others on request."""
+        if group:
+            p.add_argument("--group", help="group JSON file or preset name")
         p.add_argument("--out", help="write the report/export to this path")
-        p.add_argument("--format", default="json", choices=["json", "csv", "jsonl"])
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
+        if state_cap:
+            p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
+        p.set_defaults(format="json")
 
     p = sub.add_parser("ball", help="exact metric ball")
-    common(p)
+    common(p, state_cap=False)
+    p.add_argument("--cache", help="ball cache directory (env HOROCALC_CACHE)")
+    p.add_argument("--format", default="json", choices=["json", "jsonl"])
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--max-entries", type=int, default=None)
     p.set_defaults(func=cmd_ball)
@@ -594,23 +599,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ray1", required=True)
     p.add_argument("--ray2", required=True)
     p.add_argument("--criterion", default="switch1b", choices=["switch1b", "switch2b"])
-    p.add_argument("--slack", type=int, default=0)
+    p.add_argument("--slack", type=int, default=None, help="switch2b only (default 0)")
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--m-max", type=int, default=30)
     p.set_defaults(func=cmd_compare_rays)
 
     p = sub.add_parser("census", help="orbit census over letter subsets")
-    common(p)
+    common(p, state_cap=False)
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("anagram", help="anagram offset set of a word")
-    common(p)
+    common(p, state_cap=False)
     p.add_argument("--word", required=True)
     p.add_argument("--max-states", type=int, default=500_000)
     p.set_defaults(func=cmd_anagram)
 
     p = sub.add_parser("cartan-audit", help="cube-root bound audits")
-    common(p, group_required=False)
+    common(p, group=False)
+    p.add_argument("--format", default="json", choices=["json", "csv"])
     p.add_argument("--audit", default="lower", choices=["lower", "upper"])
     p.add_argument("--direction", required=True, help="a,b")
     p.add_argument("--n", type=int, default=6, help="ray prefix length (lower audit)")
@@ -620,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cartan_audit)
 
     p = sub.add_parser("distinctness", help="separating central element evidence")
-    common(p, group_required=False)
+    common(p, group=False)
     p.add_argument("--u", required=True, help="a,b")
     p.add_argument("--v", required=True, help="a,b")
     p.add_argument("--powers", default="1")
@@ -628,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_distinctness)
 
     p = sub.add_parser("stabilizer", help="stabilizer escape evidence")
-    common(p, group_required=False)
+    common(p, group=False)
     p.add_argument("--u", required=True, help="a,b")
     p.add_argument("--element", required=True, help="word for g")
     p.add_argument("--powers", default="1")
@@ -637,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stabilizer)
 
     p = sub.add_parser("subfinsler", help="continuous boundary classes vs windows")
-    common(p)
+    common(p, state_cap=False)
     p.add_argument("--polygon", default="auto")
     p.add_argument("--class", dest="cls", default="vertical")
     p.add_argument("--compare", default=None,
@@ -648,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_subfinsler)
 
     p = sub.add_parser("selftest", help="oracle-equivalence suites")
-    common(p, group_required=False)
+    common(p, group=False, state_cap=False)
     p.set_defaults(func=cmd_selftest)
 
     return parser

@@ -22,9 +22,10 @@ from .errors import (
 from .groups import GroupElement, MarkedGroup, Word
 from .metric import (
     DEFAULT_STATE_CAP,
+    ball,
     geodesic_certificate_by_face,
     is_geodesic_word,
-    projected_polytope,
+    letter_face,
     word_length,
 )
 from .polytope import IMPROPER
@@ -194,18 +195,23 @@ def ray_elements(group: MarkedGroup, spec: RaySpec, n: int) -> list[GroupElement
     return out
 
 
-def _tail_face_functional(group: MarkedGroup, spec: RaySpec):
-    """Integer-cleared supporting functional of the minimal face of the tail.
+def _exact_norm(group: MarkedGroup, h: GroupElement | Sequence[str], norm_budget: int | None,
+                state_cap: int | None) -> tuple[GroupElement, int]:
+    """The element h (a word, or an element with ``norm_budget``) and its exact |h|.
 
-    Normalized so the functional equals 1 on the face; None when the tail
-    letters do not share a proper face.
+    A word's length bounds the search unless ``norm_budget`` is given.
     """
-    poly = projected_polytope(group)
-    pts = [group.generator(s).abelianized() for s in spec.tail_letters()]
-    face = poly.minimal_face_of_points(pts)
-    if face is IMPROPER:
-        return None
-    return face
+    if not isinstance(h, (list, tuple)):
+        if norm_budget is None:
+            raise DegenerateInputError("element arguments need norm_budget")
+        elem, bound = h, norm_budget
+    else:
+        elem = group.evaluate(h)
+        bound = len(h) if norm_budget is None else norm_budget
+    res = word_length(group, elem, budget=bound, state_cap=state_cap)
+    if not res.exact:
+        raise BudgetExceededError("could not establish the element's length within its budget")
+    return elem, res.length
 
 
 def _functional_value(face, vec) -> Fraction:
@@ -244,26 +250,13 @@ def busemann_eval(
     ``h`` may be a word (preferred: its length bounds the first search) or
     an element with ``norm_budget`` as a known upper bound for |h|.
     """
-    if not isinstance(h, (list, tuple)):
-        elem = h
-        if norm_budget is None:
-            raise DegenerateInputError("element arguments need norm_budget")
-        bound = norm_budget
-    else:
-        elem = group.evaluate(h)
-        bound = len(h) if norm_budget is None else norm_budget
-
+    elem, prev = _exact_norm(group, h, norm_budget, state_cap)  # value at n = 0
     validate_ray(group, spec, horizon, state_cap=state_cap)
     hinv = elem.inverse()
 
-    res = word_length(group, hinv, budget=bound, state_cap=state_cap)
-    if not res.exact:
-        raise BudgetExceededError("could not establish |h| within its budget")
-    prev = res.length  # value at n = 0
-
     pref_len = len(spec.prefix) if isinstance(spec, PeriodicRay) else 0
-    face = _tail_face_functional(group, spec)
-    if face is not None:
+    face = letter_face(group, spec.tail_letters())
+    if face is not IMPROPER:
         pref = ray_prefix(spec, pref_len)
         pref_ab = group.evaluate(pref).abelianized()
         lb = _functional_value(face, hinv.abelianized()) + _functional_value(face, pref_ab) - pref_len
@@ -342,22 +335,8 @@ def horofn_window(
     Computes one exact ball of radius |x| + radius, so every required
     distance is a table lookup. Returns (window, window_elements).
     """
-    from .metric import ball as _ball
-
-    if not isinstance(x, (list, tuple)):
-        elem = x
-        if norm_budget is None:
-            raise DegenerateInputError("element arguments need norm_budget")
-        bound = norm_budget
-    else:
-        elem = group.evaluate(x)
-        bound = len(x) if norm_budget is None else norm_budget
-    res = word_length(group, elem, budget=bound, state_cap=state_cap)
-    if not res.exact:
-        raise BudgetExceededError("could not establish |x| within its budget")
-    norm_x = res.length
-
-    table = _ball(group, norm_x + radius, max_entries=max_entries)
+    elem, norm_x = _exact_norm(group, x, norm_budget, state_cap)
+    table = ball(group, norm_x + radius, max_entries=max_entries)
     xinv = elem.inverse()
     window_elems: dict[tuple, GroupElement] = {}
     values: dict[tuple, int] = {}

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, mul, sub
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetExceededError, DegenerateInputError, GroupKindMismatchError
 from .groups import AbelianElement, CartanElement, GroupElement, HeisenbergElement, MarkedGroup
@@ -300,6 +300,16 @@ class Certificate:
     face: Face | None = None
 
 
+def letter_face(group: MarkedGroup, letters: Iterable[str]) -> Face | None:
+    """Minimal proper face of the projected generator hull holding the letters.
+
+    IMPROPER when the abelianized letters lie on no proper face. This is the
+    one lookup behind face certificates, Busemann gauge bounds and orbit keys.
+    """
+    pts = {group.generator(letter).abelianized() for letter in letters}
+    return projected_polytope(group).minimal_face_of_points(list(pts))
+
+
 def geodesic_certificate_by_face(group: MarkedGroup, word: Sequence[str]) -> Certificate:
     """Certified when the abelianized letters share a proper face of the hull.
 
@@ -309,12 +319,8 @@ def geodesic_certificate_by_face(group: MarkedGroup, word: Sequence[str]) -> Cer
     """
     if not word:
         return Certificate(True, None)
-    poly = projected_polytope(group)
-    pts = {group.generator(letter).abelianized() for letter in word}
-    face = poly.minimal_face_of_points(list(pts))
-    if face is IMPROPER:
-        return Certificate(False, None)
-    return Certificate(True, face)
+    face = letter_face(group, word)
+    return Certificate(face is not IMPROPER, face)
 
 
 def is_geodesic_word(
@@ -322,15 +328,16 @@ def is_geodesic_word(
     word: Sequence[str],
     state_cap: int | None = DEFAULT_STATE_CAP,
 ) -> bool:
-    """True iff every prefix evaluates to an element of length = prefix length."""
+    """True iff every prefix evaluates to an element of length = prefix length.
+
+    Every prefix of a geodesic word is geodesic, so one search of the whole
+    word at budget ``len(word)`` decides it. When that search hits the state
+    cap this raises BudgetExceededError (fails closed), even if a shorter
+    prefix alone would have shown the word is not geodesic.
+    """
     if geodesic_certificate_by_face(group, word).certified:
         return True
-    g = group.identity
-    for i, letter in enumerate(word, start=1):
-        g = g * group.generator(letter)
-        res = word_length(group, g, budget=i, state_cap=state_cap)
-        if res.status == "inconclusive":
-            raise BudgetExceededError(f"state cap hit while checking prefix {i}")
-        if not (res.exact and res.length == i):
-            return False
-    return True
+    res = word_length(group, group.evaluate(word), budget=len(word), state_cap=state_cap)
+    if res.status == "inconclusive":
+        raise BudgetExceededError(f"state cap hit while checking a word of length {len(word)}")
+    return res.exact and res.length == len(word)

@@ -197,6 +197,19 @@ def test_stabilizer_escape_precondition():
         stabilizer_escape((1, 1), parse_word("x"), powers=(1,), m_override=1)
 
 
+@pytest.mark.parametrize("powers", [(), (-1,), (0,), (2, -1)])
+def test_distinctness_witness_rejects_powers_below_one(powers):
+    # h^p for p <= 0 is the empty word, which would report values of 0
+    with pytest.raises(DegenerateInputError):
+        distinctness_witness((-1, -1), (1, 1), powers=powers, horizon=4)
+
+
+@pytest.mark.parametrize("powers", [(), (-2,), (0, -1)])
+def test_stabilizer_escape_rejects_negative_powers(powers):
+    with pytest.raises(DegenerateInputError):
+        stabilizer_escape((1, 1), parse_word("x"), powers=powers, horizon=4)
+
+
 def test_perp_pairing_scaled():
     g = standard_group("cartan").evaluate(parse_word("x y x~ y~"))
     # B = (1/2, 1/2), u_perp = (-1, 1): pairing 0

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from horocalc.classifier import (
@@ -83,6 +85,31 @@ def test_census_counts(h1, z2, h1z):
     assert orbit_census(h1).count == 8
     assert orbit_census(z2).count == 8
     assert orbit_census(h1z).count == 8
+
+
+def _census_key(inv):
+    if inv.face_commutative:
+        return ("comm", inv.face_key, inv.full_face_key)
+    return ("noncomm", inv.face_key)
+
+
+@pytest.mark.parametrize("name", ["z2", "h1", "h1z"])
+def test_census_keys_match_ray_invariants(name):
+    # every letter subset on a proper face, repeated as a periodic ray, keys
+    # its orbit by ray_invariants exactly as the census keys that subset
+    group = standard_group(name)
+    rays = []
+    for r in range(1, len(group.labels) + 1):
+        for subset in itertools.combinations(group.labels, r):
+            try:
+                rays.append((PeriodicRay((), subset), ray_invariants(group, PeriodicRay((), subset))))
+            except SpecNotGeodesicError:
+                pass
+    keys = [_census_key(inv) for _, inv in rays]
+    assert set(keys) == set(orbit_census(group).orbit_keys)
+    for (ray1, _), key1 in zip(rays, keys):
+        for (ray2, _), key2 in zip(rays, keys):
+            assert same_orbit(group, ray1, ray2)[0] == (key1 == key2)
 
 
 def test_census_key_structure(h1):

@@ -216,6 +216,34 @@ def test_exit_codes(capsys, tmp_path):
     assert (code, out) == (2, "")
     code, _ = run(capsys, "cartan-audit", "--direction", "1,1", "--n", "50", "--delta", "51")
     assert code == 3
+    for argv in (("distinctness", "--u=-1,-1", "--v=1,1", "--powers=-1", "--horizon", "4"),
+                 ("distinctness", "--u=-1,-1", "--v=1,1", "--powers=1..0", "--horizon", "4"),
+                 ("stabilizer", "--u", "1,1", "--element", "x", "--powers=-2", "--horizon", "4")):
+        assert run(capsys, *argv) == (2, "")
+    code, _ = run(capsys, "compare-rays", "--group", "z2",
+                  "--ray1", '{"periodic":{"block":"x"}}', "--ray2", '{"periodic":{"block":"y"}}',
+                  "--criterion", "switch1b", "--slack", "1")
+    assert code == 4
+
+
+UNREAD_OPTIONS = [
+    ("dist", "--group", "h1", "--word", "x", "--format", "csv"),
+    ("ball", "--group", "z2", "--radius", "1", "--format", "csv"),
+    ("cartan-audit", "--direction", "1,1", "--format", "jsonl"),
+    ("cartan-audit", "--group", "h1", "--direction", "1,1"),
+    ("census", "--group", "h1", "--cache", "."),
+    ("census", "--group", "h1", "--state-cap", "10"),
+    ("selftest", "--group", "h1"),
+]
+
+
+@pytest.mark.parametrize("argv", UNREAD_OPTIONS, ids=" ".join)
+def test_options_a_command_does_not_read_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err or "invalid choice" in err
 
 
 BAD_INPUTS = [

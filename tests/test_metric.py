@@ -23,6 +23,8 @@ from horocalc.metric import (
 )
 from horocalc.reference import naive_ball
 
+from conftest import random_word
+
 
 def collect_elements(group, radius):
     elems = {group.identity.key(): group.identity}
@@ -189,17 +191,21 @@ def test_is_geodesic_examples(h1, cartan):
     assert is_geodesic_word(h1, parse_word("x y x y"))
     assert not is_geodesic_word(h1, parse_word("x x~"))
     assert is_geodesic_word(h1, ())
+    # no face certificate, so a search decides; a capped search fails closed
+    with pytest.raises(BudgetExceededError):
+        is_geodesic_word(cartan, parse_word("x y x~ y~ x y"), state_cap=3)
 
 
-def test_cartan_commutator_word_geodesic_by_oracle(cartan):
+def test_cartan_commutator_word_geodesic_by_oracle(cartan, rng):
     # decided by the reference BFS, not asserted by hand: every prefix of
-    # x y x~ y~ must be as short as its length for the word to be geodesic
-    ref = naive_ball(cartan, 4)
-    word = parse_word("x y x~ y~")
-    expected = all(
-        ref[cartan.evaluate(word[:i]).key()] == i for i in range(1, len(word) + 1)
-    )
-    assert is_geodesic_word(cartan, word) == expected
+    # the word must be as short as its length for the word to be geodesic
+    ref = naive_ball(cartan, 6)
+    words = [parse_word("x y x~ y~")] + [random_word(cartan, rng, 6, 1) for _ in range(40)]
+    for word in words:
+        expected = all(
+            ref[cartan.evaluate(word[:i]).key()] == i for i in range(1, len(word) + 1)
+        )
+        assert is_geodesic_word(cartan, word) == expected, word
 
 
 def test_face_certificate(h1, cartan):
