@@ -260,12 +260,12 @@ def cmd_dist(args):
 
 
 def cmd_geodesic_check(args):
-    from .metric import geodesic_certificate_by_face, is_geodesic_word
+    from .metric import geodesic_certificate_by_face, is_geodesic_by_search
 
     group = _load_group_arg(args)
     word = parse_word(args.word)
     cert = geodesic_certificate_by_face(group, word)
-    geodesic = cert.certified or is_geodesic_word(group, word, state_cap=args.state_cap)
+    geodesic = cert.certified or is_geodesic_by_search(group, word, state_cap=args.state_cap)
     result = {
         "word": list(word),
         "geodesic": geodesic,
@@ -544,8 +544,15 @@ def cmd_selftest(args):
 # -- parser -------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ParseError, so they exit 4 like other parse errors."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="horocalc",
         description="exact horofunction and Busemann computations on nilpotent Cayley graphs",
     )
@@ -661,9 +668,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"horocalc: budget exceeded: {exc}", file=sys.stderr)

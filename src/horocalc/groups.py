@@ -421,12 +421,20 @@ def standard_group(name: str) -> MarkedGroup:
     raise ParseError(f"unknown preset group {name!r}")
 
 
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:  # bool is an int subclass, and floats would truncate
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def group_from_json(doc: dict) -> MarkedGroup:
     """Build a marked group from its JSON description.
 
     ``{"kind": "heisenberg", "k": 1, "generators": [{"label": "x", "coords": [1,0,0]}, ...]}``
     or ``{"kind": "cartan", "generators": [{"label": "x", "word": "x"}, ...]}``.
     Inverse labels (suffix ``~``) may be listed or are added automatically.
+    Labels are distinct strings without spaces; ``d``, ``k`` and coordinates
+    are JSON integers.
     """
     if not isinstance(doc, dict):
         raise ParseError("group description must be a JSON object")
@@ -436,18 +444,29 @@ def group_from_json(doc: dict) -> MarkedGroup:
     gens = doc.get("generators")
     if not isinstance(gens, list) or not gens:
         raise ParseError("group description needs a nonempty 'generators' list")
+    if kind not in ("abelian", "heisenberg", "cartan"):
+        raise ParseError(f"unknown group kind {kind!r}")
     try:
-        if kind == "abelian":
-            d = int(doc["d"])
-            return marked_abelian(d, {e["label"]: e["coords"] for e in gens})
-        if kind == "heisenberg":
-            k = int(doc["k"])
-            return marked_heisenberg(k, {e["label"]: e["coords"] for e in gens})
+        entries = {}
+        for e in gens:
+            label = e["label"]
+            if not isinstance(label, str) or label.split() != [label] or not label.strip("~"):
+                raise ParseError(f"generator label {label!r} is not a word letter")
+            if label in entries:
+                raise ParseError(f"duplicate generator label {label!r}")
+            entries[label] = e
         if kind == "cartan":
-            return marked_cartan({e["label"]: e["word"] for e in gens})
+            words = {label: e["word"] for label, e in entries.items()}
+            if not all(isinstance(w, (str, list)) for w in words.values()):
+                raise ParseError("Cartan generator words must be strings or lists of letters")
+            return marked_cartan(words)
+        coords = {label: [_json_int(c, f"a coordinate of {label!r}") for c in e["coords"]]
+                  for label, e in entries.items()}
+        if kind == "abelian":
+            return marked_abelian(_json_int(doc["d"], "'d'"), coords)
+        return marked_heisenberg(_json_int(doc["k"], "'k'"), coords)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed group description: {exc}") from exc
-    raise ParseError(f"unknown group kind {kind!r}")
 
 
 def load_group(path) -> MarkedGroup:

@@ -24,7 +24,7 @@ from .metric import (
     DEFAULT_STATE_CAP,
     ball,
     geodesic_certificate_by_face,
-    is_geodesic_word,
+    is_geodesic_by_search,
     letter_face,
     word_length,
 )
@@ -174,15 +174,15 @@ def validate_ray(group: MarkedGroup, spec: RaySpec, horizon: int,
 
     Returns "certified" when the face certificate applies (then every
     prefix, not just the checked ones, is geodesic), otherwise "checked"
-    after an explicit prefix-by-prefix verification. Raises
-    SpecNotGeodesicError on failure.
+    after one exact search of the prefix. Raises SpecNotGeodesicError on
+    failure.
     """
     if isinstance(spec, DigitizedRay):
         _require_standard_grid(group)
     word = ray_prefix(spec, horizon)
     if geodesic_certificate_by_face(group, word).certified:
         return "certified"
-    if is_geodesic_word(group, word, state_cap=state_cap):
+    if is_geodesic_by_search(group, word, state_cap=state_cap):
         return "checked"
     raise SpecNotGeodesicError(f"{spec} is not geodesic within horizon {horizon}")
 

@@ -330,13 +330,24 @@ def is_geodesic_word(
 ) -> bool:
     """True iff every prefix evaluates to an element of length = prefix length.
 
+    The face certificate decides it when it applies, otherwise one search.
+    """
+    return geodesic_certificate_by_face(group, word).certified or is_geodesic_by_search(
+        group, word, state_cap)
+
+
+def is_geodesic_by_search(
+    group: MarkedGroup,
+    word: Sequence[str],
+    state_cap: int | None = DEFAULT_STATE_CAP,
+) -> bool:
+    """``is_geodesic_word`` without the face certificate, for callers that hold it.
+
     Every prefix of a geodesic word is geodesic, so one search of the whole
     word at budget ``len(word)`` decides it. When that search hits the state
     cap this raises BudgetExceededError (fails closed), even if a shorter
     prefix alone would have shown the word is not geodesic.
     """
-    if geodesic_certificate_by_face(group, word).certified:
-        return True
     res = word_length(group, group.evaluate(word), budget=len(word), state_cap=state_cap)
     if res.status == "inconclusive":
         raise BudgetExceededError(f"state cap hit while checking a word of length {len(word)}")

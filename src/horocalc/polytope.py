@@ -1,16 +1,20 @@
-"""Exact convex-hull face lattice and gauge for small generator polytopes.
+"""Exact convex-hull facets, faces and gauge for small generator polytopes.
 
 Everything is brute force over rationals: facets come from supporting
-hyperplanes spanned by affinely independent point subsets, proper faces are
-the closure of the facet family under intersection. Intended for the convex
-hulls of abelianized generating sets, so dimension <= 4 and few points.
+hyperplanes spanned by affinely independent point subsets, and the smallest
+face holding a point set is cut out by the sum of its incident facets. The
+proper faces, the closure of the facet family under intersection, are built
+only when read. Intended for the convex hulls of abelianized generating sets,
+so dimension <= 4 and few points.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .errors import DegenerateInputError
@@ -29,30 +33,16 @@ def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def _rank(rows: list[Vec]) -> int:
+def _sub(u, v) -> Vec:
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def _rref(rows, cols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form: the nonzero rows and their pivot columns."""
     m = [list(r) for r in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
+    pivots: list[int] = []
     for col in range(cols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col] / pv
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
-
-
-def _nullspace_vector(rows: list[Vec], dim: int) -> Vec | None:
-    """A nonzero vector orthogonal to all rows, or None if rows span R^dim."""
-    m = [list(r) for r in rows]
-    pivots = []
-    rank = 0
-    for col in range(dim):
+        rank = len(pivots)
         pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
         if pivot is None:
             continue
@@ -64,16 +54,11 @@ def _nullspace_vector(rows: list[Vec], dim: int) -> Vec | None:
                 f = m[i][col]
                 m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
         pivots.append(col)
-        rank += 1
-    free = [c for c in range(dim) if c not in pivots]
-    if not free:
-        return None
-    col = free[0]
-    v = [Fraction(0)] * dim
-    v[col] = Fraction(1)
-    for r, pc in enumerate(pivots):
-        v[pc] = -m[r][col]
-    return tuple(v)
+    return m[: len(pivots)], pivots
+
+
+def _rank(rows: list[Vec], cols: int) -> int:
+    return len(_rref(rows, cols)[1])
 
 
 @dataclass(frozen=True)
@@ -97,7 +82,7 @@ IMPROPER = None  # sentinel returned by minimal_face when no proper face fits
 
 
 class Polytope:
-    """Convex hull of exact rational points, with its proper face list."""
+    """Convex hull of exact rational points, with its facets and proper faces."""
 
     def __init__(self, points: Sequence[Sequence]):
         pts = [_to_vec(p) for p in points]
@@ -111,135 +96,96 @@ class Polytope:
         if any(len(p) != self.ambient for p in pts):
             raise DegenerateInputError("points of mixed dimension")
         self.points: tuple[Vec, ...] = tuple(pts)
-        base = pts[0]
-        self.dim = _rank([tuple(a - b for a, b in zip(p, base)) for p in pts])
-        self.facets: tuple[Face, ...] = tuple(self._compute_facets())
-        self.faces: tuple[Face, ...] = tuple(self._close_under_intersection())
+        # basis of the affine hull's direction space: the first independent
+        # differences to the first point, in sorted point order. The facet
+        # normals are combinations of it, so this choice fixes their scale.
+        basis: list[Vec] = []
+        for p in sorted(set(pts)):
+            row = _sub(p, pts[0])
+            if _rank(basis + [row], self.ambient) > len(basis):
+                basis.append(row)
+        self.dim = len(basis)
+        self.facets: tuple[Face, ...] = tuple(self._compute_facets(basis)) if basis else ()
+        self._faces: dict[frozenset[int], Face] = {f.members: f for f in self.facets}
 
     # -- construction ---------------------------------------------------
 
-    def _compute_facets(self) -> list[Face]:
-        pts = self.points
-        unique = sorted(set(pts))
-        if self.dim == 0:
-            return []
-        facets: dict[frozenset[int], Face] = {}
-        base = pts[0]
-        if self.dim == 1:
-            # hull is a segment: its two endpoints are the facets
-            direction = next(
-                tuple(a - b for a, b in zip(p, base)) for p in unique if p != base
-            )
-            for sign in (1, -1):
-                functional = tuple(sign * c for c in direction)
-                best = max(_dot(functional, p) for p in pts)
-                members = frozenset(i for i, p in enumerate(pts) if _dot(functional, p) == best)
-                facets[members] = Face(functional, best, members, 0)
-            return list(facets.values())
+    def _compute_facets(self, basis: list[Vec]) -> list[Face]:
+        """One facet per supporting hyperplane spanned by ``dim`` points.
 
-        for subset in itertools.combinations(unique, self.dim):
-            rows = [tuple(a - b for a, b in zip(p, subset[0])) for p in subset[1:]]
-            if _rank(rows) != self.dim - 1:
+        The normal n = sum_j c_j basis_j lies in the hull's direction space
+        and is orthogonal to the subset's differences r, so c spans the
+        nullspace of the matrix (r . basis_j). That matrix has the rank of
+        the differences, and the nullspace vector read off its reduced form
+        depends only on the hyperplane, so every spanning subset of a facet
+        gives the same normal. A nonzero normal in the hull's direction
+        space is not constant on the points, so no facet is the whole hull.
+        """
+        pts = self.points
+        facets: dict[frozenset[int], Face] = {}
+        for subset in itertools.combinations(sorted(set(pts)), self.dim):
+            gram = [[_dot(_sub(p, subset[0]), b) for b in basis] for p in subset[1:]]
+            reduced, pivots = _rref(gram, self.dim)
+            if len(pivots) != self.dim - 1:
                 continue
-            # normal within the affine hull: orthogonal to the subset's span
-            # but not to the hull's span
-            hull_rows = [tuple(a - b for a, b in zip(p, base)) for p in unique]
-            normal = self._hyperplane_normal(rows, hull_rows, subset[0], base)
-            if normal is None:
-                continue
+            free = next(c for c in range(self.dim) if c not in pivots)
+            coeffs = [Fraction(0)] * self.dim
+            coeffs[free] = Fraction(1)
+            for row, pc in zip(reduced, pivots):
+                coeffs[pc] = -row[free]
+            normal = tuple(_dot(coeffs, col) for col in zip(*basis))
             offset = _dot(normal, subset[0])
             vals = [_dot(normal, p) for p in pts]
-            hi, lo = max(vals), min(vals)
-            if hi == offset and all(v <= offset for v in vals):
-                pass
-            elif lo == offset and all(v >= offset for v in vals):
-                normal = tuple(-c for c in normal)
-                offset = -offset
-                vals = [-v for v in vals]
-            else:
-                continue
+            if max(vals) != offset:
+                if min(vals) != offset:
+                    continue  # the hyperplane cuts through the hull
+                normal, offset, vals = tuple(-c for c in normal), -offset, [-v for v in vals]
             members = frozenset(i for i, v in enumerate(vals) if v == offset)
-            if len(set(pts[i] for i in members)) == len(unique):
-                continue  # whole polytope, not a proper face
             if members not in facets:
                 facets[members] = Face(normal, offset, members, self.dim - 1)
         return list(facets.values())
 
-    def _hyperplane_normal(self, face_rows, hull_rows, face_point, base):
-        """Normal of the hyperplane spanned by face_rows inside the hull.
+    def _face_from_members(self, members: frozenset[int]) -> Face:
+        """The proper face whose points are exactly ``members``, an intersection of facets.
 
-        Seeks n = sum_j c_j basis_j with n . r = 0 for all face rows r, so
-        the nullspace is taken of the Gram-style matrix (r . basis_j).
+        Its functional is the sum of the incident facets' functionals, which
+        supports exactly their intersection. Each face is built once.
         """
-        basis = []
-        for r in hull_rows:
-            cand = basis + [r]
-            if _rank(cand) > len(basis):
-                basis.append(r)
-        gram = [tuple(_dot(r, bj) for bj in basis) for r in face_rows]
-        coeffs = _nullspace_vector(gram, len(basis))
-        if coeffs is None:
-            return None
-        return tuple(
-            sum(coeffs[j] * basis[j][i] for j in range(len(basis)))
-            for i in range(self.ambient)
-        )
-
-    def _close_under_intersection(self) -> list[Face]:
-        by_members: dict[frozenset[int], Face] = {f.members: f for f in self.facets}
-        frontier = list(by_members)
-        while frontier:
-            new = []
-            for a in frontier:
-                for b in list(by_members):
-                    c = a & b
-                    if c and c not in by_members:
-                        face = self._face_from_members(c)
-                        if face is not None:
-                            by_members[c] = face
-                            new.append(c)
-            frontier = new
-        # argmax re-check happened in _face_from_members; facets re-checked too
-        faces = sorted(
-            by_members.values(), key=lambda f: (f.dim, sorted(f.members))
-        )
-        return faces
-
-    def _face_from_members(self, members: frozenset[int]) -> Face | None:
-        incident = [f for f in self.facets if members <= f.members]
-        if not incident:
-            return None
-        functional = tuple(
-            sum(f.functional[i] for f in incident) for i in range(self.ambient)
-        )
-        offset = sum(f.offset for f in incident)
-        argmax = frozenset(
-            i for i, p in enumerate(self.points) if _dot(functional, p) == offset
-        )
-        if any(_dot(functional, p) > offset for p in self.points):
-            return None
-        # argmax re-check: the face must equal the intersection of its facets
-        if argmax != _intersect_all(f.members for f in incident):
-            return None
-        mpts = [self.points[i] for i in argmax]
-        fdim = _rank([tuple(a - b for a, b in zip(p, mpts[0])) for p in mpts])
-        return Face(functional, offset, argmax, fdim)
+        if members not in self._faces:
+            incident = [f for f in self.facets if members <= f.members]
+            functional = tuple(sum(c) for c in zip(*(f.functional for f in incident)))
+            offset = sum(f.offset for f in incident)
+            vals = [_dot(functional, p) for p in self.points]
+            if max(vals) != offset or {i for i, v in enumerate(vals) if v == offset} != members:
+                raise AssertionError("facet sum does not support the facets' intersection (hard bug)")
+            mpts = [self.points[i] for i in members]
+            fdim = _rank([_sub(p, mpts[0]) for p in mpts], self.ambient)
+            self._faces[members] = Face(functional, offset, members, fdim)
+        return self._faces[members]
 
     # -- queries ---------------------------------------------------------
 
+    @cached_property
+    def faces(self) -> tuple[Face, ...]:
+        """Every proper face, sorted by (dim, members); built on first read.
+
+        The proper faces are the nonempty intersections of facets.
+        """
+        members = {f.members for f in self.facets}
+        new = set(members)
+        while new:
+            new = {a & b for a in new for b in members} - members - {frozenset()}
+            members |= new
+        faces = (self._face_from_members(m) for m in members)
+        return tuple(sorted(faces, key=lambda f: (f.dim, sorted(f.members))))
+
     def minimal_face(self, point_indices: Sequence[int]) -> Face | None:
         """Smallest proper face containing the given points, IMPROPER if none."""
-        idx = set(point_indices)
+        idx = frozenset(point_indices)
         if not idx:
             raise DegenerateInputError("minimal_face needs a nonempty subset")
-        incident = [f for f in self.facets if idx <= f.members]
-        if not incident:
-            return IMPROPER
-        members = _intersect_all(f.members for f in incident)
-        for face in self.faces:
-            if face.members == members:
-                return face
-        return self._face_from_members(members)
+        incident = [f.members for f in self.facets if idx <= f.members]
+        return self._face_from_members(frozenset.intersection(*incident)) if incident else IMPROPER
 
     def minimal_face_of_points(self, points: Sequence[Sequence]) -> Face | None:
         idx = []
@@ -267,19 +213,6 @@ class Polytope:
         """
         out = []
         for f in self.facets:
-            denoms = [c.denominator for c in f.functional] + [f.offset.denominator]
-            import math
-
-            lcm = 1
-            for d in denoms:
-                lcm = lcm * d // math.gcd(lcm, d)
-            cov = tuple(int(c * lcm) for c in f.functional)
-            out.append((cov, int(f.offset * lcm)))
+            scale = math.lcm(*(c.denominator for c in f.functional), f.offset.denominator)
+            out.append((tuple(int(c * scale) for c in f.functional), int(f.offset * scale)))
         return out
-
-
-def _intersect_all(sets) -> frozenset:
-    out = None
-    for s in sets:
-        out = s if out is None else out & s
-    return out if out is not None else frozenset()

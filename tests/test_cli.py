@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horocalc.cli import main
-from horocalc.groups import standard_group
+from horocalc.errors import ParseError
+from horocalc.groups import full_coordinates, group_from_json, standard_group
 from horocalc.reference import naive_ball
 
 
@@ -239,11 +240,20 @@ UNREAD_OPTIONS = [
 
 @pytest.mark.parametrize("argv", UNREAD_OPTIONS, ids=" ".join)
 def test_options_a_command_does_not_read_are_rejected(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
-    assert exc.value.code == 2
+    assert main(list(argv)) == 4
     err = capsys.readouterr().err
+    assert err.startswith("horocalc: parse error:")
     assert "unrecognized arguments" in err or "invalid choice" in err
+
+
+def test_usage_errors_are_parse_errors_and_help_exits_0(capsys):
+    for argv in ((), ("bogus",), ("dist", "--group", "h1"), ("ball", "--group", "h1", "--radius", "x")):
+        assert main(list(argv)) == 4
+        assert capsys.readouterr().err.startswith("horocalc: parse error:")
+    for argv in (("--help",), ("--version",), ("dist", "--help")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 0
 
 
 BAD_INPUTS = [
@@ -306,9 +316,61 @@ FUZZED_ARGV = st.one_of(
 def test_fuzzed_arguments_never_end_in_a_traceback(argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:  # argparse rejected the arguments
-            code = exc.code
+        code = main(list(argv))
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+@st.composite
+def _group_doc(draw):
+    """A group description close to a valid one: sizes and coordinate counts
+    mostly agree, while labels, numbers and words are sometimes of the wrong type."""
+    kind = draw(st.sampled_from(["abelian", "heisenberg", "cartan"]))
+    size = draw(st.integers(0, 2))
+    width = size if kind == "abelian" else 2 * size + 1
+    label = st.one_of(st.sampled_from(["x", "y", "z", "x~"]),
+                      st.sampled_from([5, None, "", "~", "x y"]))
+    coord = st.one_of(st.integers(-2, 2), st.sampled_from([1.0, 1.5, True, "1", None]))
+    entry = st.fixed_dictionaries({"label": label}, optional={
+        "coords": st.one_of(st.lists(coord, min_size=width, max_size=width), _json_value),
+        "word": st.one_of(_fuzz_text("x", "y", "x~", " "), st.lists(label, max_size=3),
+                          _json_value)})
+    doc = {"kind": kind, "generators": draw(st.lists(entry, min_size=1, max_size=3))}
+    if kind != "cartan":
+        doc["d" if kind == "abelian" else "k"] = draw(st.one_of(
+            st.just(size), st.sampled_from([str(size), float(size), True]), _json_value))
+    return doc
+
+
+GROUP_DOCS = st.one_of(
+    _group_doc(),
+    st.fixed_dictionaries({"preset": st.one_of(st.sampled_from(["h1", "z2"]), _json_value)}),
+    _json_value,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=GROUP_DOCS)
+def test_fuzzed_group_json_is_loaded_exactly_or_rejected(doc):
+    try:
+        group = group_from_json(doc)
+    except ParseError:
+        return
+    if doc.get("kind") in ("abelian", "heisenberg"):
+        labels = [e["label"] for e in doc["generators"]]
+        assert len(set(labels)) == len(labels)
+        for e in doc["generators"]:
+            assert full_coordinates(group.generator(e["label"])) == tuple(e["coords"])
+            assert all(type(c) is int for c in e["coords"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=GROUP_DOCS)
+def test_fuzzed_group_files_never_end_in_a_traceback(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("group") / "g.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["dist", "--group", str(path), "--word", ""])
+    assert code in (0, 2, 3, 4), (doc, err.getvalue())
     assert "Traceback" not in err.getvalue()

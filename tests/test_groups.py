@@ -180,3 +180,15 @@ def test_group_from_json_errors():
     with pytest.raises(ParseError):
         group_from_json({"kind": "abelian", "d": 2,
                          "generators": [{"label": "x", "coords": [1]}]})
+    y = {"label": "y", "coords": [0, 1]}
+    for bad in ({"kind": "abelian", "d": 2, "generators": [{"label": 5, "coords": [1, 0]}, y]},
+                {"kind": "abelian", "d": 2, "generators": [{"label": "x", "coords": [1.5, 0]}, y]},
+                {"kind": "abelian", "d": 2, "generators": [{"label": "x", "coords": [True, 0]}, y]},
+                {"kind": "abelian", "d": 2, "generators": [{"label": "y", "coords": [1, 0]}, y]},
+                {"kind": "abelian", "d": "2", "generators": [y]},
+                {"kind": "abelian", "d": 2.0, "generators": [y]},
+                {"kind": "heisenberg", "k": 1.0, "generators": [{"label": "x", "coords": [1, 0, 0]}]},
+                {"kind": "abelian", "d": 1, "generators": [{"label": "x y", "coords": [1]}]},
+                {"kind": "cartan", "generators": [{"label": "x", "word": {"x": 1}}]}):
+        with pytest.raises(ParseError):
+            group_from_json(bad)

@@ -1,6 +1,10 @@
+import json
 import math
 
 import pytest
+
+from horocalc import metric
+from horocalc.cli import main
 
 from horocalc.errors import DegenerateInputError, SpecNotGeodesicError, UnknownLabelError
 from horocalc.groups import parse_word, standard_group
@@ -85,6 +89,36 @@ def test_validate_ray(h1, h1z):
         validate_ray(h1, PeriodicRay((), ("x", "x~")), 6)
     with pytest.raises(SpecNotGeodesicError):
         validate_ray(h1z, PeriodicRay(("z", "z~"), ("x",)), 6)
+
+
+def _count_letter_face_calls(monkeypatch):
+    calls = []
+    lookup = metric.letter_face
+
+    def counted(group, letters):
+        calls.append(tuple(letters))
+        return lookup(group, letters)
+
+    monkeypatch.setattr(metric, "letter_face", counted)
+    return calls
+
+
+def test_validate_ray_looks_up_the_letter_face_once(monkeypatch, h1, h1z):
+    calls = _count_letter_face_calls(monkeypatch)
+    assert validate_ray(h1z, PeriodicRay(("z",), ("x",)), 8) == "checked"
+    assert len(calls) == 1
+    assert validate_ray(h1, PeriodicRay(("y",), ("x",)), 8) == "certified"
+    assert len(calls) == 2
+    with pytest.raises(SpecNotGeodesicError):
+        validate_ray(h1, PeriodicRay((), ("x", "x~")), 6)
+    assert len(calls) == 3
+
+
+def test_geodesic_check_cli_looks_up_the_letter_face_once(monkeypatch, capsys):
+    calls = _count_letter_face_calls(monkeypatch)
+    assert main(["geodesic-check", "--group", "h1z", "--word", "z x x"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["geodesic"] is True
+    assert len(calls) == 1
 
 
 def test_validate_ray_needs_standard_grid(z2, h1z):
