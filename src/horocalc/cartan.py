@@ -180,13 +180,14 @@ def bound_audit_upper(
     u: tuple[int, int],
     h_word: Sequence[str],
     n_values: Sequence[int],
-    state_cap: int | None = DEFAULT_STATE_CAP,
+    state_cap: int = DEFAULT_STATE_CAP,
 ) -> UpperAuditReport:
     """Measure |h . ray_n| - n and fit the cube-root upper-bound constant.
 
     The audited inequality is diff <= C2 * cbrt(max(<B(h); u_perp>, 0) +
     |A(h)|) + C2; for both-odd directions the improved form drops the |A(h)|
-    term. Budget exhaustion yields a partial (prefix) report.
+    term. n + |h_word| bounds every length, so only the state cap stops the
+    scan early; the report is then a prefix with ``complete`` false.
     """
     frame = DirectionFrame.from_direction(u)
     if any(n < 0 for n in n_values):
@@ -206,6 +207,8 @@ def bound_audit_upper(
     for n in sorted(n_values):
         g = h * prefix_elems[n]
         res = word_length(group, g, budget=n + len(h_word), state_cap=state_cap)
+        if res.status == "exceeds_budget":
+            raise AssertionError(f"|h ray_{n}| exceeds its bound {n + len(h_word)} (hard bug)")
         if not res.exact:
             complete = False
             break
@@ -277,7 +280,7 @@ def distinctness_witness(
     v: tuple[int, int],
     powers: Sequence[int] = (1,),
     horizon: int = 16,
-    state_cap: int | None = DEFAULT_STATE_CAP,
+    state_cap: int = DEFAULT_STATE_CAP,
 ) -> DistinctnessReport:
     """Divergence evidence for the Busemann points of two directions.
 
@@ -336,7 +339,7 @@ def stabilizer_escape(
     g_word: Sequence[str],
     powers: Sequence[int] = (1,),
     horizon: int = 12,
-    state_cap: int | None = DEFAULT_STATE_CAP,
+    state_cap: int = DEFAULT_STATE_CAP,
     m_override: int | None = None,
 ) -> StabilizerEscapeReport:
     """Evidence that g does not fix the reduced class of the direction's ray.

@@ -287,7 +287,7 @@ def cmd_ray(args):
     group = _load_group_arg(args)
     spec = _parse_ray(args.ray)
     letters = ray_prefix(spec, args.length)
-    status = validate_ray(group, spec, min(args.length, 64), state_cap=args.state_cap)
+    status = validate_ray(group, spec, args.length, state_cap=args.state_cap)
     ab = group.evaluate(letters).abelianized()
     result = {
         "spec": spec.describe(),
@@ -366,9 +366,21 @@ def cmd_anagram(args):
     return 0
 
 
+AUDIT_OPTIONS = {  # each audit's own options and their defaults
+    "lower": {"n": 6, "delta": 2},
+    "upper": {"element": "x y x~ y~", "n_range": "2..8", "state_cap": DEFAULT_STATE_CAP},
+}
+
+
 def cmd_cartan_audit(args):
     from .cartan import bound_audit_lower, bound_audit_upper
 
+    for audit, defaults in AUDIT_OPTIONS.items():
+        for name, default in defaults.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
+            elif audit != args.audit:
+                raise ParseError(f"--{name.replace('_', '-')} applies to --audit {audit} only")
     group = standard_group("cartan")
     u = _parse_pair(args.direction)
     if args.audit == "lower":
@@ -622,14 +634,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_anagram)
 
     p = sub.add_parser("cartan-audit", help="cube-root bound audits")
-    common(p, group=False)
+    common(p, group=False, state_cap=False)
     p.add_argument("--format", default="json", choices=["json", "csv"])
     p.add_argument("--audit", default="lower", choices=["lower", "upper"])
     p.add_argument("--direction", required=True, help="a,b")
-    p.add_argument("--n", type=int, default=6, help="ray prefix length (lower audit)")
-    p.add_argument("--delta", type=int, default=2)
-    p.add_argument("--element", default="x y x~ y~", help="central word (upper audit)")
-    p.add_argument("--n-range", default="2..8", help="ray lengths (upper audit)")
+    p.add_argument("--n", type=int, help="ray prefix length (lower audit, default 6)")
+    p.add_argument("--delta", type=int, help="extra length (lower audit, default 2)")
+    p.add_argument("--element", help="central word (upper audit, default 'x y x~ y~')")
+    p.add_argument("--n-range", help="ray lengths (upper audit, default 2..8)")
+    p.add_argument("--state-cap", type=int, help="upper audit only")
     p.set_defaults(func=cmd_cartan_audit)
 
     p = sub.add_parser("distinctness", help="separating central element evidence")

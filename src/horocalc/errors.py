@@ -25,16 +25,9 @@ class SpecNotGeodesicError(HorocalcError):
 
 
 class BudgetExceededError(HorocalcError):
-    """A declared budget (radius, states, memory) was exhausted.
-
-    ``partial`` optionally carries whatever was completed before the limit.
-    """
+    """A declared budget (radius, states, memory) was exhausted."""
 
     exit_code = 3
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
 
 
 class ParseError(HorocalcError):

@@ -348,24 +348,33 @@ def _close_generators(entries: dict[str, GroupElement]) -> dict[str, GroupElemen
     return out
 
 
-def marked_abelian(d: int, generators: dict[str, Sequence[int]]) -> MarkedGroup:
-    entries = {}
+def _strict_int(value, what: str) -> int:
+    if type(value) is not int:  # bool is an int subclass, and floats would truncate
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _int_coords(generators: dict[str, Sequence[int]], width: int) -> dict[str, list[int]]:
+    """Each generator's coordinates, checked to be ``width`` integers."""
+    out = {}
     for label, coords in generators.items():
-        if len(coords) != d:
-            raise ParseError(f"generator {label!r} has {len(coords)} coords, expected {d}")
-        entries[label] = AbelianElement(tuple(int(c) for c in coords))
+        coords = [_strict_int(c, f"a coordinate of {label!r}") for c in coords]
+        if len(coords) != width:
+            raise ParseError(f"generator {label!r} has {len(coords)} coords, expected {width}")
+        out[label] = coords
+    return out
+
+
+def marked_abelian(d: int, generators: dict[str, Sequence[int]]) -> MarkedGroup:
+    d = _strict_int(d, "'d'")
+    entries = {label: AbelianElement(tuple(c)) for label, c in _int_coords(generators, d).items()}
     return MarkedGroup("abelian", d, _close_generators(entries))
 
 
 def marked_heisenberg(k: int, generators: dict[str, Sequence[int]]) -> MarkedGroup:
-    entries = {}
-    for label, coords in generators.items():
-        if len(coords) != 2 * k + 1:
-            raise ParseError(
-                f"generator {label!r} has {len(coords)} coords, expected {2 * k + 1}"
-            )
-        coords = [int(c) for c in coords]
-        entries[label] = HeisenbergElement(tuple(coords[:k]), tuple(coords[k : 2 * k]), coords[2 * k])
+    k = _strict_int(k, "'k'")
+    entries = {label: HeisenbergElement(tuple(c[:k]), tuple(c[k : 2 * k]), c[2 * k])
+               for label, c in _int_coords(generators, 2 * k + 1).items()}
     return MarkedGroup("heisenberg", k, _close_generators(entries))
 
 
@@ -421,12 +430,6 @@ def standard_group(name: str) -> MarkedGroup:
     raise ParseError(f"unknown preset group {name!r}")
 
 
-def _json_int(value, what: str) -> int:
-    if type(value) is not int:  # bool is an int subclass, and floats would truncate
-        raise ParseError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def group_from_json(doc: dict) -> MarkedGroup:
     """Build a marked group from its JSON description.
 
@@ -460,11 +463,10 @@ def group_from_json(doc: dict) -> MarkedGroup:
             if not all(isinstance(w, (str, list)) for w in words.values()):
                 raise ParseError("Cartan generator words must be strings or lists of letters")
             return marked_cartan(words)
-        coords = {label: [_json_int(c, f"a coordinate of {label!r}") for c in e["coords"]]
-                  for label, e in entries.items()}
+        coords = {label: e["coords"] for label, e in entries.items()}
         if kind == "abelian":
-            return marked_abelian(_json_int(doc["d"], "'d'"), coords)
-        return marked_heisenberg(_json_int(doc["k"], "'k'"), coords)
+            return marked_abelian(doc["d"], coords)
+        return marked_heisenberg(doc["k"], coords)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed group description: {exc}") from exc
 

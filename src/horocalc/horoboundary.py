@@ -169,7 +169,7 @@ def _require_standard_grid(group: MarkedGroup):
 
 
 def validate_ray(group: MarkedGroup, spec: RaySpec, horizon: int,
-                 state_cap: int | None = DEFAULT_STATE_CAP) -> str:
+                 state_cap: int = DEFAULT_STATE_CAP) -> str:
     """Check the first ``horizon`` letters are geodesic.
 
     Returns "certified" when the face certificate applies (then every
@@ -196,19 +196,22 @@ def ray_elements(group: MarkedGroup, spec: RaySpec, n: int) -> list[GroupElement
 
 
 def _exact_norm(group: MarkedGroup, h: GroupElement | Sequence[str], norm_budget: int | None,
-                state_cap: int | None) -> tuple[GroupElement, int]:
+                state_cap: int) -> tuple[GroupElement, int]:
     """The element h (a word, or an element with ``norm_budget``) and its exact |h|.
 
-    A word's length bounds the search unless ``norm_budget`` is given.
+    A word's length is a proved bound on |h|, so its search can stop only at
+    the state cap; ``norm_budget`` is the caller's claim and may be exceeded.
     """
-    if not isinstance(h, (list, tuple)):
-        if norm_budget is None:
-            raise DegenerateInputError("element arguments need norm_budget")
-        elem, bound = h, norm_budget
+    is_word = isinstance(h, (list, tuple))
+    if is_word:
+        elem, bound = group.evaluate(h), len(h)
+    elif norm_budget is None:
+        raise DegenerateInputError("element arguments need norm_budget")
     else:
-        elem = group.evaluate(h)
-        bound = len(h) if norm_budget is None else norm_budget
+        elem, bound = h, norm_budget
     res = word_length(group, elem, budget=bound, state_cap=state_cap)
+    if is_word and res.status == "exceeds_budget":
+        raise AssertionError(f"a word of length {bound} exceeds that budget (hard bug)")
     if not res.exact:
         raise BudgetExceededError("could not establish the element's length within its budget")
     return elem, res.length
@@ -242,13 +245,14 @@ def busemann_eval(
     spec: RaySpec,
     h: GroupElement | Sequence[str],
     horizon: int,
-    state_cap: int | None = DEFAULT_STATE_CAP,
+    state_cap: int = DEFAULT_STATE_CAP,
     norm_budget: int | None = None,
 ) -> BusemannEstimate:
     """Scan |h^{-1} ray_n| - n for n = 0..horizon.
 
     ``h`` may be a word (preferred: its length bounds the first search) or
-    an element with ``norm_budget`` as a known upper bound for |h|.
+    an element with ``norm_budget`` as a known upper bound for |h|. Step n's
+    budget n + a_{n-1} is a triangle bound, so only the state cap stops a scan.
     """
     elem, prev = _exact_norm(group, h, norm_budget, state_cap)  # value at n = 0
     validate_ray(group, spec, horizon, state_cap=state_cap)
@@ -272,14 +276,12 @@ def busemann_eval(
     for n in range(1, horizon + 1):
         g = g * group.generator(letters[n - 1])
         res = word_length(group, hinv * g, budget=n + prev, state_cap=state_cap)
+        if res.status == "exceeds_budget":
+            raise AssertionError(f"|h^-1 ray_{n}| exceeds the triangle bound {n + prev} (hard bug)")
         if not res.exact:
             exhausted = True
             break
         a_n = res.length - n
-        if a_n > prev:
-            raise AssertionError(
-                f"Busemann sequence increased at n={n}: {a_n} > {prev} (hard bug)"
-            )
         values.append(a_n)
         prev = a_n
         reached = n
@@ -306,9 +308,7 @@ def busemann_eval(
 class HorofnWindow:
     """Exact values of d(x, .) - d(x, e) on the ball of the given radius."""
 
-    center_key: tuple
     center_norm: int
-    radius: int
     values: dict[tuple, int]
 
     def lipschitz_violations(self, group: MarkedGroup, elements: dict[tuple, GroupElement]):
@@ -322,20 +322,14 @@ class HorofnWindow:
         return bad
 
 
-def horofn_window(
-    group: MarkedGroup,
-    x: GroupElement | Sequence[str],
-    radius: int,
-    norm_budget: int | None = None,
-    max_entries: int | None = None,
-    state_cap: int | None = DEFAULT_STATE_CAP,
-):
-    """Window of phi_x(w) = d(x, w) - d(x, e) for w in the radius-ball.
+def horofn_window(group: MarkedGroup, x: Sequence[str], radius: int,
+                  max_entries: int | None = None):
+    """Window of phi_x(w) = d(x, w) - d(x, e) for w in the radius-ball, x a word.
 
     Computes one exact ball of radius |x| + radius, so every required
     distance is a table lookup. Returns (window, window_elements).
     """
-    elem, norm_x = _exact_norm(group, x, norm_budget, state_cap)
+    elem, norm_x = _exact_norm(group, x, None, DEFAULT_STATE_CAP)
     table = ball(group, norm_x + radius, max_entries=max_entries)
     xinv = elem.inverse()
     window_elems: dict[tuple, GroupElement] = {}
@@ -357,7 +351,7 @@ def horofn_window(
         if d_xw is None:
             raise AssertionError("window distance missing from the ball table")
         values[k] = d_xw - norm_x
-    return HorofnWindow(elem.key(), norm_x, radius, values), window_elems
+    return HorofnWindow(norm_x, values), window_elems
 
 
 @dataclass
@@ -372,14 +366,6 @@ class ComparisonResult:
     failing_n: int | None = None
 
 
-def _pair_distance_equals(group, target_diff, bound, state_cap) -> bool | None:
-    """Is |target_diff| <= bound? None signals a state-cap stop."""
-    res = word_length(group, target_diff, budget=bound, state_cap=state_cap)
-    if res.status == "inconclusive":
-        return None
-    return res.exact and res.length <= bound
-
-
 def _compare_rays(
     group: MarkedGroup,
     spec1: RaySpec,
@@ -387,8 +373,10 @@ def _compare_rays(
     n_max: int,
     m_max: int,
     slack: int,
-    state_cap,
+    state_cap: int,
 ) -> ComparisonResult:
+    if n_max < 1 or m_max < n_max:
+        raise DegenerateInputError(f"need 1 <= n_max <= m_max, got {n_max} and {m_max}")
     validate_ray(group, spec1, m_max, state_cap=state_cap)
     validate_ray(group, spec2, m_max, state_cap=state_cap)
     g1 = ray_elements(group, spec1, m_max)
@@ -398,18 +386,13 @@ def _compare_rays(
     for n in range(1, n_max + 1):
         found = None
         for m in range(n, m_max + 1):
-            bound = m - n + slack
-            ok1 = _pair_distance_equals(group, g1[m].inverse() * g2[n], bound, state_cap)
-            if ok1 is None:
-                capped = True
-                continue
-            if not ok1:
-                continue
-            ok2 = _pair_distance_equals(group, g2[m].inverse() * g1[n], bound, state_cap)
-            if ok2 is None:
-                capped = True
-                continue
-            if ok2:
+            for a, b in ((g1[m], g2[n]), (g2[m], g1[n])):
+                res = word_length(group, a.inverse() * b, budget=m - n + slack,
+                                  state_cap=state_cap)
+                capped |= res.status == "inconclusive"
+                if not res.exact:
+                    break
+            else:
                 found = m
                 break
         if found is None:

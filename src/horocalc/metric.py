@@ -37,9 +37,6 @@ class DistanceTable:
     radius: int
     entries: dict[tuple, int]
 
-    def distance(self, key: tuple) -> int | None:
-        return self.entries.get(key)
-
     def sphere_sizes(self) -> list[int]:
         out = [0] * (self.radius + 1)
         for d in self.entries.values():
@@ -58,17 +55,16 @@ def projected_polytope(group: MarkedGroup) -> Polytope:
 
 
 @lru_cache(maxsize=64)
-def _gauge_ceil_fn(group: MarkedGroup) -> Callable[[tuple[int, ...]], int] | None:
-    """ceil(gauge(v)) as pure integer arithmetic, or None when unavailable."""
+def _gauge_ceil_fn(group: MarkedGroup) -> Callable[[tuple[int, ...]], int]:
+    """ceil(gauge(v)) as pure integer arithmetic.
+
+    Constantly 0, still a lower bound, when the hull is not full-dimensional
+    or 0 is not interior: then no facet list describes the gauge.
+    """
     poly = projected_polytope(group)
-    if poly.dim != poly.ambient:
-        return None
-    try:
-        facets = poly.integer_facets()
-    except DegenerateInputError:
-        return None
-    if any(c <= 0 for _, c in facets):
-        return None
+    facets = poly.integer_facets()
+    if poly.dim != poly.ambient or any(c <= 0 for _, c in facets):
+        facets = []
 
     def gauge_ceil(v: tuple[int, ...]) -> int:
         best = 0
@@ -136,18 +132,14 @@ def _step_fns(group: MarkedGroup) -> tuple[Step, ...]:
 
 def gauge_lower_bound(group: MarkedGroup, g: GroupElement) -> int:
     """ceil of the abelianized gauge: a proved lower bound for word length."""
-    fn = _gauge_ceil_fn(group)
-    if fn is None:
-        return 0
-    return fn(g.abelianized())
+    return _gauge_ceil_fn(group)(g.abelianized())
 
 
 def ball(group: MarkedGroup, radius: int, max_entries: int | None = None) -> DistanceTable:
     """Complete exact ball of the given radius around the identity.
 
     Level-synchronous expansion over canonical keys; the table content is
-    deterministic. ``max_entries`` turns memory pressure into a typed error
-    carrying the last completed radius.
+    deterministic. ``max_entries`` turns memory pressure into a typed error.
     """
     if radius < 0:
         raise DegenerateInputError("radius must be >= 0")
@@ -164,11 +156,7 @@ def ball(group: MarkedGroup, radius: int, max_entries: int | None = None) -> Dis
                     entries[k] = r
                     nxt.append(k)
         if max_entries is not None and len(entries) > max_entries:
-            raise BudgetExceededError(
-                f"ball exceeded {max_entries} entries at radius {r}",
-                partial=DistanceTable(group.group_hash, r - 1,
-                                      {k: d for k, d in entries.items() if d < r}),
-            )
+            raise BudgetExceededError(f"ball exceeded {max_entries} entries at radius {r}")
         frontier = nxt
     return DistanceTable(group.group_hash, radius, entries)
 
@@ -183,7 +171,6 @@ class LengthResult:
 
     status: str
     length: int | None
-    budget: int
     lower_bound: int
     expanded: int
 
@@ -196,7 +183,7 @@ def word_length(
     group: MarkedGroup,
     g: GroupElement,
     budget: int,
-    state_cap: int | None = DEFAULT_STATE_CAP,
+    state_cap: int = DEFAULT_STATE_CAP,
 ) -> LengthResult:
     """Exact word length of g if <= budget, bidirectional search otherwise proved.
 
@@ -211,9 +198,9 @@ def word_length(
         raise GroupKindMismatchError("element does not belong to this group")
     lower = gauge_lower_bound(group, g)
     if g.is_identity():
-        return LengthResult("exact", 0, budget, lower, 0)
+        return LengthResult("exact", 0, lower, 0)
     if lower > budget:
-        return LengthResult("exceeds_budget", None, budget, lower, 0)
+        return LengthResult("exceeds_budget", None, lower, 0)
 
     gauge_fn = _gauge_ceil_fn(group)
     steps = _step_fns(group)
@@ -229,25 +216,21 @@ def word_length(
     expanded = 0
 
     def fwd_h(k: Key) -> int:
-        if gauge_fn is None:
-            return 0
         return gauge_fn(tuple(map(sub, target_ab, k[1:stop])))
 
     def bwd_h(k: Key) -> int:
-        if gauge_fn is None:
-            return 0
         return gauge_fn(k[1:stop])
 
     while True:
         if best is not None and best <= budget and df + db >= best:
-            return LengthResult("exact", best, budget, lower, expanded)
+            return LengthResult("exact", best, lower, expanded)
         if df + db >= budget:
             # every length <= df+db would have produced a meeting by now
-            return LengthResult("exceeds_budget", None, budget, lower, expanded)
+            return LengthResult("exceeds_budget", None, lower, expanded)
         if not fwd_frontier and not bwd_frontier:
             if best is not None and best <= budget:
-                return LengthResult("exact", best, budget, lower, expanded)
-            return LengthResult("exceeds_budget", None, budget, lower, expanded)
+                return LengthResult("exact", best, lower, expanded)
+            return LengthResult("exceeds_budget", None, lower, expanded)
 
         forward = bool(fwd_frontier) and (not bwd_frontier or len(fwd) <= len(bwd))
         if forward:
@@ -270,11 +253,11 @@ def word_length(
                     if best is None or cand < best:
                         best = cand
                 nxt.append(k)
-        if state_cap is not None and len(fwd) + len(bwd) > state_cap:
+        if len(fwd) + len(bwd) > state_cap:
             levels = (depth + db) if forward else (df + depth)
             if best is not None and best <= budget and levels >= best:
-                return LengthResult("exact", best, budget, lower, expanded)
-            return LengthResult("inconclusive", best, budget, lower, expanded)
+                return LengthResult("exact", best, lower, expanded)
+            return LengthResult("inconclusive", best, lower, expanded)
         if forward:
             fwd_frontier, df = nxt, depth
         else:
@@ -286,7 +269,7 @@ def distance(
     g: GroupElement,
     h: GroupElement,
     budget: int,
-    state_cap: int | None = DEFAULT_STATE_CAP,
+    state_cap: int = DEFAULT_STATE_CAP,
 ) -> LengthResult:
     """d(g, h) = |g^{-1} h| under left invariance."""
     return word_length(group, g.inverse() * h, budget, state_cap)
@@ -326,7 +309,7 @@ def geodesic_certificate_by_face(group: MarkedGroup, word: Sequence[str]) -> Cer
 def is_geodesic_word(
     group: MarkedGroup,
     word: Sequence[str],
-    state_cap: int | None = DEFAULT_STATE_CAP,
+    state_cap: int = DEFAULT_STATE_CAP,
 ) -> bool:
     """True iff every prefix evaluates to an element of length = prefix length.
 
@@ -339,7 +322,7 @@ def is_geodesic_word(
 def is_geodesic_by_search(
     group: MarkedGroup,
     word: Sequence[str],
-    state_cap: int | None = DEFAULT_STATE_CAP,
+    state_cap: int = DEFAULT_STATE_CAP,
 ) -> bool:
     """``is_geodesic_word`` without the face certificate, for callers that hold it.
 
@@ -351,4 +334,6 @@ def is_geodesic_by_search(
     res = word_length(group, group.evaluate(word), budget=len(word), state_cap=state_cap)
     if res.status == "inconclusive":
         raise BudgetExceededError(f"state cap hit while checking a word of length {len(word)}")
-    return res.exact and res.length == len(word)
+    if not res.exact:
+        raise AssertionError(f"a word of length {len(word)} exceeds that budget (hard bug)")
+    return res.length == len(word)

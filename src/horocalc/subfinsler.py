@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, ParseError
 from .groups import MarkedGroup
 from .horoboundary import horofn_window
 from .metric import ball
@@ -138,10 +138,18 @@ class Vertical:
     pass
 
 
+def _check_r(r):
+    if not 0 <= Fraction(r) <= 1:
+        raise DegenerateInputError("interpolation parameter r must be in [0, 1]")
+
+
 @dataclass(frozen=True)
 class NonVertical:
     k: int
     r: Fraction
+
+    def __post_init__(self):
+        _check_r(self.r)
 
 
 @dataclass(frozen=True)
@@ -150,6 +158,13 @@ class Mixed:
     r: Fraction
     orientation: str = "le"  # which side of the seam uses the pure alpha branch
     variant: int = 1  # 1: alpha_i on the pure branch; 2: alpha_{i-1}
+
+    def __post_init__(self):
+        _check_r(self.r)
+        if self.orientation not in ("le", "ge"):
+            raise DegenerateInputError("orientation must be 'le' or 'ge'")
+        if self.variant not in (1, 2):
+            raise DegenerateInputError("variant must be 1 or 2")
 
 
 HorofnClass = Vertical | NonVertical | Mixed
@@ -173,18 +188,10 @@ def horofn_eval(polygon: SymmetricPolygon, cls: HorofnClass, point: Sequence) ->
     if isinstance(cls, NonVertical):
         _check_index(polygon, cls.k)
         r = Fraction(cls.r)
-        if not 0 <= r <= 1:
-            raise DegenerateInputError("interpolation parameter r must be in [0, 1]")
         return r * polygon.alpha(cls.k, v) + (1 - r) * polygon.alpha(cls.k - 1, v)
     if isinstance(cls, Mixed):
         _check_index(polygon, cls.i)
         r = Fraction(cls.r)
-        if not 0 <= r <= 1:
-            raise DegenerateInputError("interpolation parameter r must be in [0, 1]")
-        if cls.orientation not in ("le", "ge"):
-            raise DegenerateInputError("orientation must be 'le' or 'ge'")
-        if cls.variant not in (1, 2):
-            raise DegenerateInputError("variant must be 1 or 2")
         side = omega(polygon.vertex(cls.i), v)
         pure = side <= 0 if cls.orientation == "le" else side >= 0
         if pure:
@@ -237,6 +244,9 @@ def _key_first_layer(group: MarkedGroup, key: tuple):
     return (key[1], key[2])
 
 
+WINDOW_MAX_ENTRIES = 4_000_000  # memory cap on the ball behind one comparison window
+
+
 @dataclass
 class ComparisonReport:
     sequence: str
@@ -254,7 +264,6 @@ def discrete_vs_continuous(
     sequence: str = "central",
     n: int | None = None,
     radius: int = 8,
-    max_entries: int | None = 4_000_000,
 ) -> ComparisonReport:
     """Max |discrete horofunction - continuous class| over growing windows.
 
@@ -266,12 +275,14 @@ def discrete_vs_continuous(
     """
     if group.kind != "heisenberg" or group.params != 1:
         raise DegenerateInputError("windowed comparison is for rank-1 Heisenberg lattices")
+    if radius < 0 or (n is not None and n < 0):
+        raise DegenerateInputError(f"window radius and n must be >= 0, got {radius} and {n}")
     if n is None:
         # keep |x_n| + radius inside a tractable ball
         n = max(1, radius * radius // 4) if sequence == "central" else 2 * radius
 
     word = _sequence_word(group, sequence, n)
-    window, elems = horofn_window(group, word, radius, max_entries=max_entries)
+    window, elems = horofn_window(group, word, radius, max_entries=WINDOW_MAX_ENTRIES)
     diffs = [Fraction(0)] * (radius + 1)
     dist_table = ball(group, radius)
     for key, elem in elems.items():
@@ -305,8 +316,14 @@ def _sequence_word(group: MarkedGroup, sequence: str, n: int) -> list[str]:
         label = sequence.split(":", 1)[1]
         return [label] * n
     if sequence.startswith("edge:"):
-        l1, l2, p, q = sequence.split(":", 1)[1].split(",")
-        return ([l1] * int(p) + [l2] * int(q)) * n
+        try:
+            l1, l2, p, q = sequence.split(":", 1)[1].split(",")
+            p, q = int(p), int(q)
+        except ValueError:
+            raise ParseError(f"edge preset must be edge:L1,L2,p,q, got {sequence!r}") from None
+        if p < 0 or q < 0:
+            raise DegenerateInputError(f"edge powers must be >= 0, got {p} and {q}")
+        return ([l1] * p + [l2] * q) * n
     raise DegenerateInputError(f"unknown sequence preset {sequence!r}")
 
 

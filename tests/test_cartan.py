@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from horocalc import cartan
 from horocalc.cartan import (
     LOWER_AUDIT_MAX_LENGTH,
     DirectionFrame,
@@ -20,6 +21,7 @@ from horocalc.cartan import (
 from horocalc.errors import BudgetExceededError, DegenerateInputError
 from horocalc.groups import parse_word, standard_group
 from horocalc.horoboundary import DigitizedRay, ray_elements
+from horocalc.metric import LengthResult
 from horocalc.reference import brute_force_detour_pairings
 from horocalc.winding import cartan_path_oracle
 
@@ -155,6 +157,14 @@ def test_bound_audit_upper_zero_pairing_witness():
 def test_bound_audit_upper_rejects_noncentral():
     with pytest.raises(DegenerateInputError):
         bound_audit_upper((1, 1), parse_word("x"), [2])
+
+
+def test_bound_audit_upper_never_exceeds_its_budget(monkeypatch):
+    # |h ray_n| <= n + |h_word|, so exceeds_budget would be a bug, not a budget stop
+    exceeds = LengthResult("exceeds_budget", None, 0, 0)
+    monkeypatch.setattr(cartan, "word_length", lambda *args, **kwargs: exceeds)
+    with pytest.raises(AssertionError, match="hard bug"):
+        bound_audit_upper((1, 1), parse_word("x y x~ y~"), [2])
 
 
 def test_bound_audit_upper_mixed_parity_no_improved():

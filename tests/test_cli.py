@@ -227,6 +227,59 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 4
 
 
+def test_ray_validates_the_whole_requested_prefix(capsys):
+    # 21 x then z: the 66-letter prefix holds z x^21 z, which x^21 z z shortens to 65
+    block = " ".join(["x"] * 21 + ["z"])
+    argv = ("ray", "--group", "h1z", "--ray", json.dumps({"periodic": {"block": block}}))
+    assert run_json(capsys, *argv, "--length", "64")["result"]["geodesic_validation"] == "checked"
+    assert run(capsys, *argv, "--length", "66") == (2, "")
+    assert run(capsys, *argv, "--length", "66", "--state-cap", "10") == (3, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("compare-rays", "--group", "h1", "--ray1", '{"digitized":[1,2]}',
+     "--ray2", '{"digitized":[2,1]}', "--n-max", n_max, "--m-max", "3")
+    for n_max in ("-1", "0", "4")
+], ids=lambda argv: "n-max " + argv[-3])
+def test_a_comparison_with_nothing_to_check_is_a_domain_error(capsys, argv):
+    assert run(capsys, *argv) == (2, "")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("--compare", "edge:x,y,a,b"), 4),
+    (("--compare", "edge:x,y"), 4),
+    (("--compare", "edge:x,y,-1,2"), 2),
+    (("--compare", "central", "--window", "-1"), 2),
+    (("--compare", "central", "--n", "-3"), 2),
+    (("--class", "mixed:1,1/2,xx"), 2),
+    (("--class", "mixed:1,1/2,xx", "--fingerprint", "1"), 2),
+], ids=lambda value: " ".join(value) if isinstance(value, tuple) else f"exit {value}")
+def test_subfinsler_inputs_are_typed_errors(capsys, argv, code):
+    assert main(["subfinsler", "--group", "h1", "--window", "2", *argv]) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--audit", "upper", "--n", "50", "--delta", "70"),
+    ("--audit", "upper", "--delta", "2"),
+    ("--audit", "lower", "--n", "2", "--delta", "2", "--element", "x",
+     "--n-range", "1..3", "--state-cap", "5"),
+    ("--audit", "lower", "--state-cap", "5"),
+    ("--n-range", "1..3"),
+], ids=" ".join)
+def test_cartan_audit_rejects_the_other_audits_options(capsys, argv):
+    assert main(["cartan-audit", "--direction", "1,1", *argv]) == 4
+    assert "applies to --audit" in capsys.readouterr().err
+
+
+def test_cartan_audit_budgets_show_the_defaults(capsys):
+    lower = run_json(capsys, "cartan-audit", "--direction", "1,1")
+    assert lower["budgets"] == {"n": 6, "delta": 2}
+    upper = run_json(capsys, "cartan-audit", "--audit", "upper", "--direction", "1,1")
+    assert upper["budgets"] == {"n_range": "2..8", "state_cap": 2_000_000, "complete": True}
+    assert upper["result"]["upper"]["h_word"] == ["x", "y", "x~", "y~"]
+
+
 UNREAD_OPTIONS = [
     ("dist", "--group", "h1", "--word", "x", "--format", "csv"),
     ("ball", "--group", "z2", "--radius", "1", "--format", "csv"),
@@ -308,6 +361,19 @@ FUZZED_ARGV = st.one_of(
                   lambda text: "--class=" + text)),
     st.tuples(st.just("cartan-audit"), st.just("--audit=upper"), st.just("--direction=1,1"),
               _fuzz_text().map(lambda text: "--n-range=" + text), st.just("--state-cap=2000")),
+    # small windows, n and edge powers keep every ball small
+    st.tuples(st.just("subfinsler"), st.just("--group=h1"),
+              st.one_of(st.sampled_from(["central", "vertex:x", "vertex:q"]), _fuzz_text(),
+                        st.lists(st.one_of(st.sampled_from(["x", "y~", "", "a", "1/2"]),
+                                           st.integers(-2, 3).map(str)), max_size=5)
+                        .map(lambda parts: "edge:" + ",".join(parts)))
+              .map(lambda text: "--compare=" + text),
+              st.integers(-2, 3).map(lambda w: f"--window={w}"),
+              st.integers(-3, 3).map(lambda n: f"--n={n}")),
+    st.tuples(st.just("compare-rays"), st.sampled_from(["--group=z2", "--group=h1"]),
+              st.just('--ray1={"digitized":[1,2]}'), st.just('--ray2={"periodic":{"block":"x y"}}'),
+              st.integers(-3, 4).map(lambda n: f"--n-max={n}"),
+              st.integers(-3, 8).map(lambda m: f"--m-max={m}")),
 )
 
 

@@ -10,6 +10,7 @@ from horocalc.groups import (
     cartan_word_element,
     commutator_z_exponent,
     group_from_json,
+    marked_abelian,
     marked_heisenberg,
     parse_word,
     standard_group,
@@ -192,3 +193,16 @@ def test_group_from_json_errors():
                 {"kind": "cartan", "generators": [{"label": "x", "word": {"x": 1}}]}):
         with pytest.raises(ParseError):
             group_from_json(bad)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: marked_abelian(2, {"x": [1.5, 0], "y": [0, 1]}),
+    lambda: marked_abelian(2, {"x": [1, 0], "y": [0, True]}),
+    lambda: marked_abelian(2.0, {"x": [1, 0]}),
+    lambda: marked_heisenberg(1, {"x": [1, 0, 0.5]}),
+    lambda: marked_heisenberg(True, {"x": [1, 0, 0]}),
+])
+def test_python_constructors_take_integers_only(build):
+    # the same check as the group JSON loader, not a silent int() coercion
+    with pytest.raises(ParseError, match="must be an integer"):
+        build()

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from horocalc import metric
+from horocalc import horoboundary, metric
 from horocalc.cli import main
 
 from horocalc.errors import DegenerateInputError, SpecNotGeodesicError, UnknownLabelError
@@ -21,7 +21,7 @@ from horocalc.horoboundary import (
     same_busemann,
     validate_ray,
 )
-from horocalc.metric import ball, geodesic_certificate_by_face
+from horocalc.metric import LengthResult, ball, geodesic_certificate_by_face
 from horocalc.reference import brute_force_digitized
 
 
@@ -170,6 +170,35 @@ def test_busemann_needs_norm_budget_for_elements(h1):
         busemann_eval(h1, DigitizedRay((1, 0)), g, horizon=4)
     est = busemann_eval(h1, DigitizedRay((1, 0)), g, horizon=4, norm_budget=1)
     assert est.value == -1 and est.certified
+
+
+def test_busemann_scan_at_its_triangle_bound_never_exceeds_it(monkeypatch, h1):
+    # |h| <= len(word) and |h^-1 ray_n| <= n + a_{n-1}: exceeds_budget would be a bug
+    exceeds = LengthResult("exceeds_budget", None, 0, 0)
+    real = horoboundary.word_length
+    spec, word = DigitizedRay((1, 2)), parse_word("x y x~ y~")
+    monkeypatch.setattr(horoboundary, "word_length", lambda *args, **kwargs: exceeds)
+    with pytest.raises(AssertionError, match="a word of length 4 exceeds"):
+        busemann_eval(h1, spec, word, horizon=4)
+    calls = []
+
+    def exceeds_after_the_norm(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs) if len(calls) == 1 else exceeds
+
+    monkeypatch.setattr(horoboundary, "word_length", exceeds_after_the_norm)
+    with pytest.raises(AssertionError, match="triangle bound"):
+        busemann_eval(h1, spec, word, horizon=4)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("n_max, m_max", [(-1, 3), (0, 3), (4, 3)])
+def test_comparisons_with_nothing_to_check_are_rejected(z2, n_max, m_max):
+    spec = PeriodicRay((), ("x",))
+    with pytest.raises(DegenerateInputError):
+        same_busemann(z2, spec, spec, n_max, m_max)
+    with pytest.raises(DegenerateInputError):
+        reduced_equiv(z2, spec, spec, 1, n_max, m_max)
 
 
 def test_same_busemann_identical(z2):

@@ -12,18 +12,23 @@ from horocalc.groups import (
     parse_word,
     standard_group,
 )
+from horocalc import metric
 from horocalc.metric import (
+    LengthResult,
     _step_fns,
     ball,
     distance,
     gauge_lower_bound,
     geodesic_certificate_by_face,
+    is_geodesic_by_search,
     is_geodesic_word,
     word_length,
 )
 from horocalc.reference import naive_ball
 
 from conftest import random_word
+
+EXCEEDS = LengthResult("exceeds_budget", None, 0, 0)
 
 
 def collect_elements(group, radius):
@@ -111,11 +116,8 @@ def test_ball_entry_has_closer_neighbor(h1):
 
 
 def test_ball_budget_error(h1):
-    with pytest.raises(BudgetExceededError) as err:
+    with pytest.raises(BudgetExceededError):
         ball(h1, 6, max_entries=50)
-    assert err.value.partial is not None
-    partial = err.value.partial
-    assert partial.entries == naive_ball(h1, partial.radius)
 
 
 def test_sphere_sizes_nondecreasing_balls(cartan):
@@ -185,6 +187,23 @@ def test_gauge_lower_bound(h1, cartan):
     g = h1.evaluate(parse_word("x x y"))
     assert gauge_lower_bound(h1, g) == 3
     assert gauge_lower_bound(cartan, cartan.evaluate(parse_word("x y x~ y~"))) == 0
+
+
+def test_a_degenerate_hull_gauges_every_element_by_zero():
+    # x and z project to (1, 0) and (0, 0): a segment, not a full-dimensional hull
+    group = marked_heisenberg(1, {"x": [1, 0, 0], "z": [0, 0, 1]})
+    ref = naive_ball(group, 4)
+    for key, g in collect_elements(group, 4).items():
+        assert gauge_lower_bound(group, g) == 0
+        res = word_length(group, g, budget=4)
+        assert (res.status, res.length) == ("exact", ref[key])
+
+
+def test_geodesic_search_at_the_word_length_never_exceeds_it(monkeypatch, h1):
+    # the word itself has length len(word), so exceeds_budget would be a bug
+    monkeypatch.setattr(metric, "word_length", lambda *args, **kwargs: EXCEEDS)
+    with pytest.raises(AssertionError, match="hard bug"):
+        is_geodesic_by_search(h1, parse_word("x x~"))
 
 
 def test_is_geodesic_examples(h1, cartan):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from horocalc.errors import DegenerateInputError
+from horocalc.errors import DegenerateInputError, ParseError
 from horocalc.metric import projected_polytope
 from horocalc.subfinsler import (
     Mixed,
@@ -155,3 +155,27 @@ def test_discrete_vs_continuous_rejects(z2, h1):
         discrete_vs_continuous(z2, poly, Vertical(), "central", radius=3)
     with pytest.raises(DegenerateInputError):
         discrete_vs_continuous(h1, poly, Vertical(), "bogus", radius=3)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: NonVertical(1, Fraction(3, 2)),
+    lambda: Mixed(1, Fraction(-1)),
+    lambda: Mixed(1, Fraction(1, 2), orientation="xx"),
+    lambda: Mixed(1, Fraction(1, 2), variant=3),
+])
+def test_classes_are_checked_when_built(build):
+    with pytest.raises(DegenerateInputError):
+        build()
+
+
+@pytest.mark.parametrize("sequence, n, radius, error", [
+    ("edge:x,y,a,b", 2, 2, ParseError),
+    ("edge:x,y", 2, 2, ParseError),
+    ("edge:x,y,-1,2", 2, 2, DegenerateInputError),
+    ("central", 2, -1, DegenerateInputError),
+    ("central", -3, 2, DegenerateInputError),
+])
+def test_discrete_vs_continuous_rejects_malformed_and_negative_inputs(h1, sequence, n, radius,
+                                                                      error):
+    with pytest.raises(error):
+        discrete_vs_continuous(h1, auto_polygon(h1), Vertical(), sequence, n=n, radius=radius)
