@@ -440,6 +440,7 @@ def cmd_subfinsler(args):
     from .subfinsler import (
         SymmetricPolygon,
         auto_polygon,
+        check_class,
         class_fingerprint,
         discrete_vs_continuous,
     )
@@ -450,6 +451,7 @@ def cmd_subfinsler(args):
     else:
         polygon = SymmetricPolygon(_parse_polygon(args.polygon))
     cls = _parse_class(args.cls)
+    check_class(polygon, cls)
     result = {"polygon": [list(v) for v in polygon.vertices], "class": args.cls}
     if args.fingerprint is not None:
         fp = class_fingerprint(group, polygon, cls, args.fingerprint)
@@ -499,8 +501,9 @@ def cmd_selftest(args):
 
     from .cartan import detour_pairings
     from .classifier import anagram_set
-    from .groups import cartan_word_element
+    from .groups import HeisenbergElement, cartan_word_element, marked_heisenberg
     from .metric import ball as _ball
+    from .metric import word_length
     from .reference import brute_force_anagram_offsets, brute_force_detour_pairings, naive_ball
     from .winding import cartan_path_oracle
 
@@ -548,6 +551,21 @@ def cmd_selftest(args):
         ok &= detour_pairings(*case) == brute_force_detour_pairings(*case)
     checks["lower_audit_dp_vs_dfs"] = ok
 
+    ok = True
+    custom_h1 = marked_heisenberg(1, {"x": [1, 0, 1], "y": [1, 1, 0]})
+    # with z^2 central, a layer's sets have holes that later layers fill
+    z2_h1 = marked_heisenberg(1, {"x": [1, 0, 0], "y": [0, 1, 0], "z": [0, 0, 2]})
+    for G, r in ((h1, 8), (standard_group("h1z"), 6), (standard_group("h2"), 4), (custom_h1, 6),
+                 (z2_h1, 6)):
+        k = G.params
+        for key, d in naive_ball(G, r).items():
+            g = HeisenbergElement(key[1:1 + k], key[1 + k:-1], key[-1])
+            for budget in (d - 1, d, d + 2) if d else (0, 2):
+                res = word_length(G, g, budget)
+                expected = ("exact", d) if d <= budget else ("exceeds_budget", None)
+                ok &= (res.status, res.length) == expected
+    checks["central_table_vs_ball"] = ok
+
     passed = all(checks.values())
     _emit(args, {"passed": passed, "checks": checks}, None, {})
     return 0 if passed else 2
@@ -561,6 +579,12 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ParseError(message)
+
+    def parse_args(self, args=None, namespace=None):
+        parsed = super().parse_args(args, namespace)
+        if any(isinstance(value, list) for value in vars(parsed).values()):
+            raise ParseError("'--' is not an option value")  # argparse reads --opt=-- as []
+        return parsed
 
 
 def build_parser() -> argparse.ArgumentParser:

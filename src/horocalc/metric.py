@@ -1,10 +1,20 @@
 """Exact word metrics on implicit Cayley graphs: balls, lengths, geodesic tests.
 
-The length engine is a bidirectional level-synchronous search pruned by the
-abelianized gauge, which lower-bounds word length (each generator projects
-into the unit ball of the gauge). The heuristic is admissible, so results
-are exact and "exceeds budget" is a proved claim whenever the frontiers were
-exhausted rather than capped.
+Word lengths in a Heisenberg group H_k come first from its central table
+(``_CentralTable``, one per marked group, grown lazily): layer L holds, for
+each abelianized endpoint (a, b), the exact set of central values c that
+words of length exactly L reach. The length of (a, b, c) is the first layer
+from the gauge bound up that holds c. The table charges against the state
+cap the elements held by every layer up to the one a query scans, a number
+that depends only on the marking and the layer; a query that would charge
+more runs the search instead, so a capped answer never depends on what ran
+before.
+
+Every other length comes from a bidirectional level-synchronous search
+pruned by the abelianized gauge, which lower-bounds word length (each
+generator projects into the unit ball of the gauge). The heuristic is
+admissible, so results are exact and "exceeds budget" is a proved claim
+whenever the frontiers were exhausted rather than capped.
 
 Searches run on canonical element keys (``GroupElement.key()`` tuples), not
 on element objects: each state is its own hash key, and right multiplication
@@ -130,6 +140,68 @@ def _step_fns(group: MarkedGroup) -> tuple[Step, ...]:
     return tuple(make(s) for _, s in group.generator_items())
 
 
+class _CentralTable:
+    """Exact central values by abelianized endpoint, layer by layer, for one H_k marking.
+
+    ``layers[L]`` maps each endpoint p = (a, b) of a word of length exactly L
+    to ``(lo, mask)``: bit i of mask is set iff some such word evaluates to
+    (a, b, lo + i). A generator s moves p by s.a + s.b and shifts the whole
+    set by s.c + a.s_b, so a layer is shifts and ORs of the one before; the
+    sets are exact, holes included. ``charges[L]`` counts the elements held
+    by layers 0..L, the unit a search state is counted in, and depends only
+    on the marking and L.
+    """
+
+    def __init__(self, group: MarkedGroup):
+        self.rank = group.params
+        self.moves = [(s.a + s.b, s.c, s.b) for _, s in group.generator_items()]
+        self.layers: list[dict[Key, tuple[int, int]]] = [{(0,) * (2 * self.rank): (0, 1)}]
+        self.charges = [1]
+
+    def _grow(self):
+        k = self.rank
+        nxt: dict[Key, tuple[int, int]] = {}
+        for p, (lo, mask) in self.layers[-1].items():
+            a = p[:k]
+            for move, sc, sb in self.moves:
+                q = tuple(map(add, p, move))
+                shift = lo + sc + sum(map(mul, a, sb))
+                old = nxt.get(q)
+                if old is None:
+                    nxt[q] = (shift, mask)
+                elif shift < old[0]:
+                    nxt[q] = (shift, mask | old[1] << (old[0] - shift))
+                else:
+                    nxt[q] = (old[0], old[1] | mask << (shift - old[0]))
+        self.layers.append(nxt)
+        self.charges.append(self.charges[-1] + sum(m.bit_count() for _, m in nxt.values()))
+
+    def lookup(self, key: Key, lower: int, budget: int, state_cap: int) -> LengthResult | None:
+        """The first layer in lower..budget holding the element, grown as needed.
+
+        None when a layer to scan would charge more than ``state_cap``; the
+        answer then needs the search.
+        """
+        p, c = key[1:-1], key[-1]
+        layers, charges = self.layers, self.charges
+        for length in range(lower, budget + 1):
+            while len(layers) <= length:
+                if charges[-1] > state_cap:
+                    return None
+                self._grow()
+            if charges[length] > state_cap:
+                return None
+            lo, mask = layers[length].get(p, (0, 0))
+            if c >= lo and mask >> (c - lo) & 1:
+                return LengthResult("exact", length, lower, 0)
+        return LengthResult("exceeds_budget", None, lower, 0)
+
+
+@lru_cache(maxsize=64)
+def _central_table(group: MarkedGroup) -> _CentralTable:
+    return _CentralTable(group)
+
+
 def gauge_lower_bound(group: MarkedGroup, g: GroupElement) -> int:
     """ceil of the abelianized gauge: a proved lower bound for word length."""
     return _gauge_ceil_fn(group)(g.abelianized())
@@ -167,6 +239,7 @@ class LengthResult:
 
     ``status``: ``exact`` (length holds), ``exceeds_budget`` (proved
     > budget), or ``inconclusive`` (state cap hit before a verdict).
+    ``expanded`` counts search states, so a table answer reports 0.
     """
 
     status: str
@@ -185,11 +258,13 @@ def word_length(
     budget: int,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> LengthResult:
-    """Exact word length of g if <= budget, bidirectional search otherwise proved.
+    """Exact word length of g if <= budget, otherwise a proof that it exceeds it.
 
-    Both frontiers prune states whose depth plus remaining gauge exceeds the
-    budget; that never discards a viable path, so an exhausted search is a
-    proof of ``exceeds_budget``.
+    Heisenberg lengths come from the group's central table while the layers
+    to scan charge at most ``state_cap``; other answers come from the
+    search. Both search frontiers prune states whose depth plus remaining
+    gauge exceeds the budget; that never discards a viable path, so an
+    exhausted search is a proof of ``exceeds_budget``.
     """
     if budget < 0:
         raise DegenerateInputError("budget must be >= 0")
@@ -201,6 +276,10 @@ def word_length(
         return LengthResult("exact", 0, lower, 0)
     if lower > budget:
         return LengthResult("exceeds_budget", None, lower, 0)
+    if group.kind == "heisenberg":
+        res = _central_table(group).lookup(start, lower, budget, state_cap)
+        if res is not None:
+            return res
 
     gauge_fn = _gauge_ceil_fn(group)
     steps = _step_fns(group)

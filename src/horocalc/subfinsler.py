@@ -170,9 +170,12 @@ class Mixed:
 HorofnClass = Vertical | NonVertical | Mixed
 
 
-def _check_index(polygon: SymmetricPolygon, k: int):
-    if not 1 <= k <= len(polygon):
-        raise DegenerateInputError(f"edge index {k} out of range 1..{len(polygon)}")
+def check_class(polygon: SymmetricPolygon, cls: HorofnClass):
+    """Reject a class whose edge index the polygon does not have."""
+    if isinstance(cls, (NonVertical, Mixed)):
+        k = cls.k if isinstance(cls, NonVertical) else cls.i
+        if not 1 <= k <= len(polygon):
+            raise DegenerateInputError(f"edge index {k} out of range 1..{len(polygon)}")
 
 
 def horofn_eval(polygon: SymmetricPolygon, cls: HorofnClass, point: Sequence) -> Fraction:
@@ -182,15 +185,14 @@ def horofn_eval(polygon: SymmetricPolygon, cls: HorofnClass, point: Sequence) ->
     edge functionals at a vertex; Mixed switches branch across the seam
     spanned by vertex i.
     """
+    check_class(polygon, cls)
     v = (Fraction(point[0]), Fraction(point[1]))
     if isinstance(cls, Vertical):
         return -polygon.gauge(v)
     if isinstance(cls, NonVertical):
-        _check_index(polygon, cls.k)
         r = Fraction(cls.r)
         return r * polygon.alpha(cls.k, v) + (1 - r) * polygon.alpha(cls.k - 1, v)
     if isinstance(cls, Mixed):
-        _check_index(polygon, cls.i)
         r = Fraction(cls.r)
         side = omega(polygon.vertex(cls.i), v)
         pure = side <= 0 if cls.orientation == "le" else side >= 0
@@ -324,7 +326,7 @@ def _sequence_word(group: MarkedGroup, sequence: str, n: int) -> list[str]:
         if p < 0 or q < 0:
             raise DegenerateInputError(f"edge powers must be >= 0, got {p} and {q}")
         return ([l1] * p + [l2] * q) * n
-    raise DegenerateInputError(f"unknown sequence preset {sequence!r}")
+    raise ParseError(f"unknown sequence preset {sequence!r}")
 
 
 def _central_power_word(group: MarkedGroup, n: int) -> list[str]:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -225,6 +226,9 @@ def test_exit_codes(capsys, tmp_path):
                   "--ray1", '{"periodic":{"block":"x"}}', "--ray2", '{"periodic":{"block":"y"}}',
                   "--criterion", "switch1b", "--slack", "1")
     assert code == 4
+    for argv in (("subfinsler", "--class", "mixed:99,1/2"),
+                 ("subfinsler", "--class", "mixed:99,1/2", "--fingerprint", "1")):
+        assert run(capsys, *argv) == (2, "")
 
 
 def test_ray_validates_the_whole_requested_prefix(capsys):
@@ -248,6 +252,7 @@ def test_a_comparison_with_nothing_to_check_is_a_domain_error(capsys, argv):
 @pytest.mark.parametrize("argv, code", [
     (("--compare", "edge:x,y,a,b"), 4),
     (("--compare", "edge:x,y"), 4),
+    (("--compare", "foo"), 4),
     (("--compare", "edge:x,y,-1,2"), 2),
     (("--compare", "central", "--window", "-1"), 2),
     (("--compare", "central", "--n", "-3"), 2),
@@ -317,6 +322,8 @@ BAD_INPUTS = [
     ("subfinsler", "--class", "nonvertical:1"),
     ("subfinsler", "--class", "mixed:1"),
     ("cartan-audit", "--audit", "upper", "--direction", "1,1", "--n-range", "5.."),
+    ("dist", "--group", "h1", "--word", "x", "--budget=--"),
+    ("subfinsler", "--class=--"),
 ]
 
 
@@ -349,6 +356,31 @@ _ray_doc = st.one_of(
     _json_value,
 ).map(json.dumps)
 
+LENGTH_GROUPS = {name: standard_group(name) for name in ("h1", "h1z", "h2")}
+
+
+def _option(name, numbers):
+    """An option that is missing, a number in range or arbitrary text."""
+    return st.one_of(st.just(""), numbers.map(str), _fuzz_text()).map(
+        lambda text: text and f"--{name}={text}")
+
+
+def _length_argv(command, *options):
+    """A word over a group's letters and stray tokens, with fuzzed --state-cap and options."""
+    return st.sampled_from(sorted(LENGTH_GROUPS)).flatmap(lambda name: st.tuples(
+        st.just(command), st.just("--group=" + name),
+        st.lists(st.sampled_from(LENGTH_GROUPS[name].labels + ("q", "x~~")), max_size=8)
+        .map(lambda word: "--word=" + " ".join(word)),
+        _option("state-cap", st.integers(-1, 300)),
+        *(_option(option, st.integers(-2, 12)) for option in options),
+    ).map(lambda argv: tuple(arg for arg in argv if arg)))
+
+
+@lru_cache(maxsize=None)
+def _naive_lengths(name):
+    return naive_ball(LENGTH_GROUPS[name], 6)
+
+
 FUZZED_ARGV = st.one_of(
     st.tuples(st.just("ray"), st.sampled_from(["--group=h1", "--group=z2", "--group=cartan"]),
               st.one_of(_ray_doc, _fuzz_text('{"digitized":', '{"periodic":')).map(
@@ -374,17 +406,27 @@ FUZZED_ARGV = st.one_of(
               st.just('--ray1={"digitized":[1,2]}'), st.just('--ray2={"periodic":{"block":"x y"}}'),
               st.integers(-3, 4).map(lambda n: f"--n-max={n}"),
               st.integers(-3, 8).map(lambda m: f"--m-max={m}")),
+    _length_argv("dist", "budget"),
+    _length_argv("geodesic-check"),
 )
 
 
 @settings(max_examples=150, deadline=None)
 @given(argv=FUZZED_ARGV)
 def test_fuzzed_arguments_never_end_in_a_traceback(argv):
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if argv[0] == "dist" and code == 0:
+        doc = json.loads(out.getvalue())
+        res, budget = doc["result"], doc["budgets"]["budget"]
+        if len(res["word"]) <= 6 and res["status"] != "inconclusive":
+            name = argv[1].removeprefix("--group=")
+            d = _naive_lengths(name)[LENGTH_GROUPS[name].evaluate(res["word"]).key()]
+            expected = ("exact", d) if d <= budget else ("exceeds_budget", None)
+            assert (res["status"], res["length"]) == expected, argv
 
 
 @st.composite

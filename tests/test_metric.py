@@ -1,3 +1,6 @@
+import itertools
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,6 +61,9 @@ KERNEL_GROUPS = {
 KERNEL_GROUPS["h1-custom"] = marked_heisenberg(1, {"p": [1, 1, 2], "q": [-1, 2, 0]})
 KERNEL_GROUPS["h2-custom"] = marked_heisenberg(2, {"p": [1, 0, 2, -1, 3], "q": [0, 1, 1, 1, -2]})
 KERNEL_GROUPS["cartan-custom"] = marked_cartan({"x": "x y", "y": "y"})
+# z^2 central: some central values missing at an endpoint in layer L first appear later,
+# so an interval in place of the exact set would give wrong lengths
+KERNEL_GROUPS["h1-z2"] = marked_heisenberg(1, {"x": [1, 0, 0], "y": [0, 1, 0], "z": [0, 0, 2]})
 
 
 def _element_from_coords(group, coords):
@@ -245,3 +251,63 @@ def test_certified_words_are_geodesic(h1, rng):
         word = tuple(rng.choice(("x", "y")) for _ in range(rng.randint(1, 12)))
         assert geodesic_certificate_by_face(h1, word).certified
         assert is_geodesic_word(h1, word)
+
+
+def _key_ball(group, radius):
+    return ball(group, radius).entries
+
+
+# Exact lengths for the central table: naive BFS at small radii, the key-based ball beyond.
+TABLE_ORACLES = {
+    "h1": ("h1", 8, naive_ball), "h1 r14": ("h1", 14, _key_ball),
+    "h1z": ("h1z", 6, naive_ball), "h1z r10": ("h1z", 10, _key_ball),
+    "h2": ("h2", 4, naive_ball), "h1-custom": ("h1-custom", 6, naive_ball),
+    "h1-z2": ("h1-z2", 6, naive_ball), "h2-custom": ("h2-custom", 5, naive_ball),
+}
+
+
+@lru_cache(maxsize=None)
+def _table_oracle(name):
+    """(group, radius, key -> length for every element within radius)."""
+    group_name, radius, build = TABLE_ORACLES[name]
+    group = KERNEL_GROUPS[group_name]
+    return group, radius, build(group, radius)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(TABLE_ORACLES)), data=st.data())
+def test_table_lengths_match_exact_balls(name, data):
+    group, radius, dist = _table_oracle(name)
+    word = data.draw(st.lists(st.sampled_from(group.labels), max_size=radius + 2))
+    g = group.evaluate(word)
+    d = dist.get(g.key())  # None: longer than radius
+    budgets = {data.draw(st.integers(0, radius))}
+    if d is not None:
+        budgets |= {b for b in (d - 1, d, d + 2) if b >= 0}
+    for budget in sorted(budgets):
+        res = word_length(group, g, budget)
+        if d is not None and d <= budget:
+            assert res == LengthResult("exact", d, gauge_lower_bound(group, g), 0)
+        else:
+            assert res.status == "exceeds_budget" and res.expanded == 0
+
+
+def test_a_capped_table_query_does_not_depend_on_earlier_queries():
+    # a marking no other test uses, so its table starts empty here
+    group = marked_heisenberg(1, {"p": [1, 0, 3], "q": [0, 1, -2]})
+    g = group.evaluate(parse_word("p q p~ q~ p q"))
+    cold = [word_length(group, g, budget=8, state_cap=cap) for cap in (10, 200)]
+    warm_up = word_length(group, g, budget=8)
+    assert warm_up.exact and warm_up.expanded == 0
+    assert [word_length(group, g, budget=8, state_cap=cap) for cap in (10, 200)] == cold
+    assert cold[0].expanded > 0  # 10 elements do not reach the answer: the search ran
+
+
+def test_the_table_charges_every_element_of_the_layers_it_scans(h1):
+    # elements reached by words of length exactly L, summed over L = 0..4
+    charge = sum(len({h1.evaluate(w) for w in itertools.product(h1.labels, repeat=n)})
+                 for n in range(5))
+    z = h1.evaluate(parse_word("x y x~ y~"))
+    assert word_length(h1, z, 4, state_cap=charge) == LengthResult("exact", 4, 0, 0)
+    searched = word_length(h1, z, 4, state_cap=charge - 1)
+    assert searched.exact and searched.expanded > 0

@@ -153,7 +153,7 @@ def test_discrete_vs_continuous_rejects(z2, h1):
     poly = auto_polygon(h1)
     with pytest.raises(DegenerateInputError):
         discrete_vs_continuous(z2, poly, Vertical(), "central", radius=3)
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(ParseError):
         discrete_vs_continuous(h1, poly, Vertical(), "bogus", radius=3)
 
 
