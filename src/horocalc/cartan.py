@@ -79,7 +79,7 @@ def central_with_barycenter(b: tuple[int, int]) -> tuple:
     return elem, word
 
 
-LOWER_AUDIT_MAX_LENGTH = 100  # fail-closed cap on n + delta_max
+AUDIT_MAX_LENGTH = 100  # fail-closed cap on the word lengths either audit reaches
 
 
 def detour_pairings(target, u_perp, n: int, max_length: int) -> dict[int, tuple[int, int]]:
@@ -135,9 +135,9 @@ def bound_audit_lower(u: tuple[int, int], n: int, delta_max: int) -> LowerAuditR
     frame = DirectionFrame.from_direction(u)
     if n < 0 or delta_max < 0:
         raise DegenerateInputError(f"n and delta must be nonnegative, got {n} and {delta_max}")
-    if n + delta_max > LOWER_AUDIT_MAX_LENGTH:
+    if n + delta_max > AUDIT_MAX_LENGTH:
         raise BudgetExceededError(
-            f"lower audit limited to n + delta <= {LOWER_AUDIT_MAX_LENGTH}, got {n + delta_max}"
+            f"lower audit limited to n + delta <= {AUDIT_MAX_LENGTH}, got {n + delta_max}"
         )
 
     group = standard_group("cartan")
@@ -187,13 +187,18 @@ def bound_audit_upper(
     The audited inequality is diff <= C2 * cbrt(max(<B(h); u_perp>, 0) +
     |A(h)|) + C2; for both-odd directions the improved form drops the |A(h)|
     term. n + |h_word| bounds every length, so only the state cap stops the
-    scan early; the report is then a prefix with ``complete`` false.
+    scan early; the report is then a prefix with ``complete`` false. A
+    largest n + |h_word| above AUDIT_MAX_LENGTH raises before any work.
     """
     frame = DirectionFrame.from_direction(u)
     if any(n < 0 for n in n_values):
         raise DegenerateInputError(f"ray lengths must be nonnegative, got {list(n_values)}")
-    group = standard_group("cartan")
     h_word = tuple(h_word)
+    n_max = max(n_values, default=0)
+    if n_max + len(h_word) > AUDIT_MAX_LENGTH:
+        raise BudgetExceededError(f"upper audit limited to n + |h| <= {AUDIT_MAX_LENGTH}, "
+                                  f"got {n_max + len(h_word)}")
+    group = standard_group("cartan")
     h = group.evaluate(h_word)
     if h.abelianized() != (0, 0):
         raise DegenerateInputError("upper audit needs h with zero abelianization")
@@ -203,7 +208,7 @@ def bound_audit_upper(
     rows = []
     complete = True
     spec = DigitizedRay(frame.u)
-    prefix_elems = ray_elements(group, spec, max(n_values) if n_values else 0)
+    prefix_elems = ray_elements(group, spec, n_max)
     for n in sorted(n_values):
         g = h * prefix_elems[n]
         res = word_length(group, g, budget=n + len(h_word), state_cap=state_cap)

@@ -22,7 +22,7 @@ from .errors import BudgetExceededError, HorocalcError, ParseError
 from .groups import MarkedGroup, load_group, parse_word, standard_group
 from .metric import DEFAULT_STATE_CAP, DistanceTable, ball
 
-SCHEMA = 3
+SCHEMA = 4
 
 
 def _jsonable(obj):
@@ -187,15 +187,16 @@ def read_ball_jsonl(path: Path, group_hash: str) -> DistanceTable | None:
 
 
 def cached_ball(group: MarkedGroup, radius: int, cache_dir: Path | None,
-                max_entries: int | None = None) -> tuple[DistanceTable, str]:
-    """Ball with JSONL cache reuse.
+                state_cap: int) -> tuple[DistanceTable, str]:
+    """Ball with JSONL cache reuse, under ``ball``'s state cap either way.
 
     Returns (table, state): "hit", "miss", "nocache", or "invalid" when a
     cache file was found but could not be trusted; the ball is then
-    recomputed and the cache rewritten.
+    recomputed and the cache rewritten. A hit over the cap fails as a miss
+    does, so the outcome does not depend on the cache.
     """
-    if cache_dir is None:
-        return ball(group, radius, max_entries=max_entries), "nocache"
+    if cache_dir is None or radius < 0:  # ball rejects a negative radius
+        return ball(group, radius, state_cap), "nocache"
     state = "miss"
     for have in range(radius, radius + 16):
         path = cache_dir / f"{group.group_hash[:16]}_r{have}.jsonl"
@@ -203,9 +204,11 @@ def cached_ball(group: MarkedGroup, radius: int, cache_dir: Path | None,
             table = read_ball_jsonl(path, group.group_hash)
             if table is not None and table.radius >= radius:
                 entries = {k: d for k, d in table.entries.items() if d <= radius}
+                if len(entries) > state_cap:
+                    break  # the ball below raises, at the level where it overflows
                 return DistanceTable(group.group_hash, radius, entries), "hit"
             state = "invalid"
-    table = ball(group, radius, max_entries=max_entries)
+    table = ball(group, radius, state_cap)
     write_ball_jsonl(table, cache_dir / f"{group.group_hash[:16]}_r{radius}.jsonl")
     return table, state
 
@@ -213,19 +216,9 @@ def cached_ball(group: MarkedGroup, radius: int, cache_dir: Path | None,
 # -- subcommands --------------------------------------------------------
 
 
-DEFAULT_RADIUS_BUDGET = {"abelian": 60, "heisenberg": 30, "cartan": 16}
-
-
 def cmd_ball(args):
     group = _load_group_arg(args)
-    budget = DEFAULT_RADIUS_BUDGET[group.kind]
-    if args.radius > budget and args.max_entries is None:
-        raise BudgetExceededError(
-            f"radius {args.radius} exceeds the default budget {budget} for "
-            f"{group.kind} groups; pass --max-entries to override with a memory cap"
-        )
-    table, cache_state = cached_ball(group, args.radius, _cache_dir(args),
-                                     max_entries=args.max_entries)
+    table, cache_state = cached_ball(group, args.radius, _cache_dir(args), args.state_cap)
     if args.out and args.format == "jsonl":
         write_ball_jsonl(table, Path(args.out))
     result = {
@@ -235,7 +228,7 @@ def cmd_ball(args):
         "cache": cache_state,
         "out": args.out if args.format == "jsonl" else None,
     }
-    _emit(args, result, group, {"radius": args.radius, "max_entries": args.max_entries})
+    _emit(args, result, group, {"radius": args.radius, "state_cap": args.state_cap})
     return 0
 
 
@@ -606,11 +599,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(format="json")
 
     p = sub.add_parser("ball", help="exact metric ball")
-    common(p, state_cap=False)
+    common(p)
     p.add_argument("--cache", help="ball cache directory (env HOROCALC_CACHE)")
     p.add_argument("--format", default="json", choices=["json", "jsonl"])
     p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--max-entries", type=int, default=None)
     p.set_defaults(func=cmd_ball)
 
     p = sub.add_parser("dist", help="exact word length of a word's value")

@@ -323,14 +323,15 @@ class HorofnWindow:
 
 
 def horofn_window(group: MarkedGroup, x: Sequence[str], radius: int,
-                  max_entries: int | None = None):
+                  state_cap: int = DEFAULT_STATE_CAP):
     """Window of phi_x(w) = d(x, w) - d(x, e) for w in the radius-ball, x a word.
 
     Computes one exact ball of radius |x| + radius, so every required
-    distance is a table lookup. Returns (window, window_elements).
+    distance is a table lookup; ``state_cap`` bounds both the search for |x|
+    and that ball. Returns (window, window_elements).
     """
-    elem, norm_x = _exact_norm(group, x, None, DEFAULT_STATE_CAP)
-    table = ball(group, norm_x + radius, max_entries=max_entries)
+    elem, norm_x = _exact_norm(group, x, None, state_cap)
+    table = ball(group, norm_x + radius, state_cap)
     xinv = elem.inverse()
     window_elems: dict[tuple, GroupElement] = {}
     values: dict[tuple, int] = {}

@@ -4,17 +4,20 @@ Word lengths in a Heisenberg group H_k come first from its central table
 (``_CentralTable``, one per marked group, grown lazily): layer L holds, for
 each abelianized endpoint (a, b), the exact set of central values c that
 words of length exactly L reach. The length of (a, b, c) is the first layer
-from the gauge bound up that holds c. The table charges against the state
-cap the elements held by every layer up to the one a query scans, a number
-that depends only on the marking and the layer; a query that would charge
-more runs the search instead, so a capped answer never depends on what ran
-before.
+from the gauge bound up that holds c. Every other length comes from a
+bidirectional level-synchronous search pruned by the abelianized gauge, which
+lower-bounds word length (each generator projects into the unit ball of the
+gauge). The heuristic is admissible, so results are exact and "exceeds
+budget" is a proved claim whenever the frontiers were exhausted rather than
+capped.
 
-Every other length comes from a bidirectional level-synchronous search
-pruned by the abelianized gauge, which lower-bounds word length (each
-generator projects into the unit ball of the gauge). The heuristic is
-admissible, so results are exact and "exceeds budget" is a proved claim
-whenever the frontiers were exhausted rather than capped.
+One state cap bounds every enumeration, in group elements held, checked
+after every level: a search charges its states, the central table the
+elements of every layer up to the one a query scans, a ball its entries. The
+table's charge depends only on the marking and the layer, and a query that
+would charge more runs the search, so a capped answer never depends on what
+ran before. A length query over the cap is ``inconclusive``; a ball over it
+raises BudgetExceededError.
 
 Searches run on canonical element keys (``GroupElement.key()`` tuples), not
 on element objects: each state is its own hash key, and right multiplication
@@ -207,11 +210,13 @@ def gauge_lower_bound(group: MarkedGroup, g: GroupElement) -> int:
     return _gauge_ceil_fn(group)(g.abelianized())
 
 
-def ball(group: MarkedGroup, radius: int, max_entries: int | None = None) -> DistanceTable:
+def ball(group: MarkedGroup, radius: int, state_cap: int = DEFAULT_STATE_CAP) -> DistanceTable:
     """Complete exact ball of the given radius around the identity.
 
     Level-synchronous expansion over canonical keys; the table content is
-    deterministic. ``max_entries`` turns memory pressure into a typed error.
+    deterministic. The elements held are checked against ``state_cap`` after
+    every level, level 0 included, so this raises BudgetExceededError exactly
+    when the ball holds more than ``state_cap`` elements.
     """
     if radius < 0:
         raise DegenerateInputError("radius must be >= 0")
@@ -219,7 +224,11 @@ def ball(group: MarkedGroup, radius: int, max_entries: int | None = None) -> Dis
     e = group.identity.key()
     entries: dict[Key, int] = {e: 0}
     frontier: list[Key] = [e]
-    for r in range(1, radius + 1):
+    r = 0
+    while len(entries) <= state_cap:
+        if r == radius:
+            return DistanceTable(group.group_hash, radius, entries)
+        r += 1
         nxt: list[Key] = []
         for g in frontier:
             for step in steps:
@@ -227,10 +236,9 @@ def ball(group: MarkedGroup, radius: int, max_entries: int | None = None) -> Dis
                 if k not in entries:
                     entries[k] = r
                     nxt.append(k)
-        if max_entries is not None and len(entries) > max_entries:
-            raise BudgetExceededError(f"ball exceeded {max_entries} entries at radius {r}")
         frontier = nxt
-    return DistanceTable(group.group_hash, radius, entries)
+    raise BudgetExceededError(
+        f"ball of radius {r} holds more than the state cap of {state_cap} elements")
 
 
 @dataclass

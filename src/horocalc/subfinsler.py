@@ -232,21 +232,13 @@ def auto_polygon(group: MarkedGroup) -> SymmetricPolygon:
 def class_fingerprint(group: MarkedGroup, polygon: SymmetricPolygon,
                       cls: HorofnClass, radius: int) -> tuple:
     """Values of the class on the radius-ball, in canonical key order."""
-    table = ball(group, radius)
-    out = []
-    for key in sorted(table.entries):
-        v = _key_first_layer(group, key)
-        out.append((key, horofn_eval(polygon, cls, v)))
-    return tuple(out)
-
-
-def _key_first_layer(group: MarkedGroup, key: tuple):
     if group.abelian_rank != 2:
         raise DegenerateInputError("windowed comparison supports rank-2 lattices")
-    return (key[1], key[2])
+    return tuple((key, horofn_eval(polygon, cls, key[1:3]))
+                 for key in sorted(ball(group, radius).entries))
 
 
-WINDOW_MAX_ENTRIES = 4_000_000  # memory cap on the ball behind one comparison window
+WINDOW_MAX_ENTRIES = 4_000_000  # state cap on the balls behind one comparison window
 
 
 @dataclass
@@ -284,9 +276,9 @@ def discrete_vs_continuous(
         n = max(1, radius * radius // 4) if sequence == "central" else 2 * radius
 
     word = _sequence_word(group, sequence, n)
-    window, elems = horofn_window(group, word, radius, max_entries=WINDOW_MAX_ENTRIES)
+    window, elems = horofn_window(group, word, radius, WINDOW_MAX_ENTRIES)
     diffs = [Fraction(0)] * (radius + 1)
-    dist_table = ball(group, radius)
+    dist_table = ball(group, radius, WINDOW_MAX_ENTRIES)
     for key, elem in elems.items():
         v = (elem.a[0], elem.b[0])
         cont = horofn_eval(polygon, cls, v)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from horocalc import cartan
 from horocalc.cartan import (
-    LOWER_AUDIT_MAX_LENGTH,
+    AUDIT_MAX_LENGTH,
     DirectionFrame,
     bound_audit_lower,
     bound_audit_upper,
@@ -85,7 +85,7 @@ def test_bound_audit_lower_loops():
 
 
 def test_bound_audit_lower_budget():
-    assert LOWER_AUDIT_MAX_LENGTH == 100
+    assert AUDIT_MAX_LENGTH == 100
     with pytest.raises(BudgetExceededError):
         bound_audit_lower((1, 1), 99, 2)
     rep = bound_audit_lower((1, 1), 12, 2)
@@ -129,6 +129,13 @@ def test_detour_pairings_match_the_word_enumeration(u, n, data):
 def test_bound_audit_upper_rejects_negative_lengths():
     with pytest.raises(DegenerateInputError):
         bound_audit_upper((1, 1), parse_word("x y x~ y~"), [-1, 2])
+
+
+def test_bound_audit_upper_length_cap(monkeypatch):
+    # n + |h| = 101 raises before the ray is built or any length is searched
+    monkeypatch.setattr(cartan, "ray_elements", None)
+    with pytest.raises(BudgetExceededError):
+        bound_audit_upper((1, 1), parse_word("x y x~ y~"), [2, AUDIT_MAX_LENGTH - 3])
 
 
 def test_bound_audit_upper_identity():

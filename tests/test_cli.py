@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 from functools import lru_cache
 
 import pytest
@@ -28,7 +29,7 @@ def run_json(capsys, *argv):
 def test_census_cli(capsys):
     doc = run_json(capsys, "census", "--group", "h1")
     assert doc["result"]["orbits"] == 8
-    assert doc["schema"] == 3
+    assert doc["schema"] == 4
     assert "threads" not in doc
     assert doc["group_hash"]
 
@@ -186,9 +187,29 @@ def test_subfinsler_cli(capsys):
     assert comp["max_abs_diff_by_radius"][0] == 0
 
 
-def test_ball_default_radius_budget(capsys):
-    code, _ = run(capsys, "ball", "--group", "cartan", "--radius", "17")
+def test_ball_state_cap(capsys):
+    code, _ = run(capsys, "ball", "--group", "cartan", "--radius", "17", "--state-cap", "1000")
     assert code == 3
+    # the old per-kind radius budget refused this 123-element ball
+    doc = run_json(capsys, "ball", "--group", "z1", "--radius", "61")
+    assert doc["result"]["size"] == 123
+    assert doc["budgets"] == {"radius": 61, "state_cap": 2_000_000}
+
+
+def test_ball_cache_hit_obeys_the_state_cap(tmp_path, capsys):
+    def argv(cache, *cap):
+        return ["ball", "--group", "h1", "--radius", "5", "--cache", str(tmp_path / cache), *cap]
+
+    size = run_json(capsys, *argv("written"))["result"]["size"]
+    # over the cap, a hit fails exactly as a miss does, and the miss writes nothing
+    outcomes = [(main(argv(cache, "--state-cap", str(size - 1))), capsys.readouterr())
+                for cache in ("written", "empty")]
+    assert outcomes[0] == outcomes[1] and outcomes[0][0] == 3
+    assert list((tmp_path / "empty").iterdir()) == []
+    doc = run_json(capsys, *argv("written", "--state-cap", str(size)))
+    assert (doc["result"]["cache"], doc["result"]["size"]) == ("hit", size)
+    # a negative radius is a domain error, not an empty hit
+    assert main(argv("written", "--radius=-1")) == 2
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
@@ -208,8 +229,7 @@ def test_exit_codes(capsys, tmp_path):
     bad.write_text("{not json")
     code, _ = run(capsys, "census", "--group", str(bad))
     assert code == 4
-    code, _ = run(capsys, "ball", "--group", "h1", "--radius", "6",
-                  "--max-entries", "10")
+    code, _ = run(capsys, "ball", "--group", "h1", "--radius", "6", "--state-cap", "10")
     assert code == 3
     code, _ = run(capsys, "compare-rays", "--group", "z2",
                   "--ray1", "nonsense", "--ray2", "{}")
@@ -229,6 +249,14 @@ def test_exit_codes(capsys, tmp_path):
     for argv in (("subfinsler", "--class", "mixed:99,1/2"),
                  ("subfinsler", "--class", "mixed:99,1/2", "--fingerprint", "1")):
         assert run(capsys, *argv) == (2, "")
+
+
+def test_upper_audit_refuses_long_rays_before_any_work(capsys):
+    start = time.perf_counter()
+    code = main(["cartan-audit", "--audit", "upper", "--direction", "1,1",
+                 "--n-range=3313302,", "--state-cap", "2000"])
+    assert code == 3 and time.perf_counter() - start < 0.5
+    assert "n + |h| <= 100" in capsys.readouterr().err
 
 
 def test_ray_validates_the_whole_requested_prefix(capsys):
@@ -376,6 +404,22 @@ def _length_argv(command, *options):
     ).map(lambda argv: tuple(arg for arg in argv if arg)))
 
 
+def _not_above(bound):
+    """True for text that int() rejects or reads as at most bound."""
+    def check(text):
+        try:
+            return int(text) <= bound
+        except ValueError:
+            return True
+    return check
+
+
+def _ball_argv(radius, state_cap):
+    return st.tuples(st.just("ball"), st.sampled_from(["z1", "z2", "h1", "h2", "cartan"]).map(
+        lambda name: "--group=" + name), radius.map(lambda r: f"--radius={r}"),
+        state_cap.map(lambda cap: f"--state-cap={cap}"))
+
+
 @lru_cache(maxsize=None)
 def _naive_lengths(name):
     return naive_ball(LENGTH_GROUPS[name], 6)
@@ -408,6 +452,12 @@ FUZZED_ARGV = st.one_of(
               st.integers(-3, 8).map(lambda m: f"--m-max={m}")),
     _length_argv("dist", "budget"),
     _length_argv("geodesic-check"),
+    # the state cap, never above 5000, bounds every ball whatever the radius
+    _ball_argv(st.integers(-2, 60), st.integers(-1, 5000)),
+    _ball_argv(st.one_of(st.integers(-2, 60).map(str), _fuzz_text()),
+               st.one_of(st.integers(-1, 5000).map(str), _fuzz_text().filter(_not_above(5000)))),
+    st.tuples(st.just("subfinsler"), st.just("--group=h1"),
+              st.integers(-2, 4).map(lambda r: f"--fingerprint={r}")),
 )
 
 
@@ -427,6 +477,9 @@ def test_fuzzed_arguments_never_end_in_a_traceback(argv):
             d = _naive_lengths(name)[LENGTH_GROUPS[name].evaluate(res["word"]).key()]
             expected = ("exact", d) if d <= budget else ("exceeds_budget", None)
             assert (res["status"], res["length"]) == expected, argv
+    if argv[0] == "ball" and code == 0:
+        doc = json.loads(out.getvalue())
+        assert doc["result"]["size"] <= doc["budgets"]["state_cap"], argv
 
 
 @st.composite

@@ -6,7 +6,12 @@ import pytest
 from horocalc import horoboundary, metric
 from horocalc.cli import main
 
-from horocalc.errors import DegenerateInputError, SpecNotGeodesicError, UnknownLabelError
+from horocalc.errors import (
+    BudgetExceededError,
+    DegenerateInputError,
+    SpecNotGeodesicError,
+    UnknownLabelError,
+)
 from horocalc.groups import parse_word, standard_group
 from horocalc.horoboundary import (
     DigitizedRay,
@@ -348,6 +353,10 @@ def test_horofn_window_identity_center(h1):
     table = ball(h1, 3)
     assert win.values == table.entries
     assert win.lipschitz_violations(h1, elems) == []
+    # the state cap bounds the ball behind the window
+    assert horofn_window(h1, [], radius=3, state_cap=len(table))[0].values == table.entries
+    with pytest.raises(BudgetExceededError):
+        horofn_window(h1, [], radius=3, state_cap=len(table) - 1)
 
 
 def test_horofn_window_along_geodesic(h1):

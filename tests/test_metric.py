@@ -123,7 +123,17 @@ def test_ball_entry_has_closer_neighbor(h1):
 
 def test_ball_budget_error(h1):
     with pytest.raises(BudgetExceededError):
-        ball(h1, 6, max_entries=50)
+        ball(h1, 6, state_cap=50)
+
+
+@pytest.mark.parametrize("name", ["z2", "h1", "h2", "cartan"])
+def test_ball_raises_iff_it_holds_more_than_the_state_cap(name):
+    group = KERNEL_GROUPS[name]
+    for r in range(5):
+        size = len(naive_ball(group, r))
+        assert len(ball(group, r, state_cap=size)) == size
+        with pytest.raises(BudgetExceededError):
+            ball(group, r, state_cap=size - 1)
 
 
 def test_sphere_sizes_nondecreasing_balls(cartan):
