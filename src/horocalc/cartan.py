@@ -191,10 +191,10 @@ def bound_audit_upper(
     largest n + |h_word| above AUDIT_MAX_LENGTH raises before any work.
     """
     frame = DirectionFrame.from_direction(u)
-    if any(n < 0 for n in n_values):
-        raise DegenerateInputError(f"ray lengths must be nonnegative, got {list(n_values)}")
+    n_min, n_max = _extremes(n_values) if n_values else (0, 0)
+    if n_min < 0:
+        raise DegenerateInputError(f"ray lengths must be nonnegative, got {n_min}")
     h_word = tuple(h_word)
-    n_max = max(n_values, default=0)
     if n_max + len(h_word) > AUDIT_MAX_LENGTH:
         raise BudgetExceededError(f"upper audit limited to n + |h| <= {AUDIT_MAX_LENGTH}, "
                                   f"got {n_max + len(h_word)}")
@@ -236,6 +236,12 @@ def bound_audit_upper(
         parity=frame.parity,
         complete=complete,
     )
+
+
+def _extremes(values: Sequence[int]) -> tuple[int, int]:
+    """min and max of nonempty values; a range's are read from its two ends, not iterated."""
+    ends = (values[0], values[-1]) if isinstance(values, range) else values
+    return min(ends), max(ends)
 
 
 def _fit_c2(rows, q) -> float | None:
@@ -294,8 +300,8 @@ def distinctness_witness(
     (often certifying 0 exactly). All numbers are monotone horizon values.
     ``powers`` must be a nonempty list of integers >= 1.
     """
-    if not powers or min(powers) < 1:
-        raise DegenerateInputError(f"powers must be nonempty integers >= 1, got {list(powers)}")
+    if not powers or _extremes(powers)[0] < 1:
+        raise DegenerateInputError("powers must be nonempty integers >= 1")
     group = standard_group("cartan")
     b = pick_witness_barycenter(u, v)
     _, h_word = central_with_barycenter(b)
@@ -355,8 +361,8 @@ def stabilizer_escape(
     ``powers`` must be a nonempty list of integers >= 0; power 0 gives the
     trivial row of zeros.
     """
-    if not powers or min(powers) < 0:
-        raise DegenerateInputError(f"powers must be nonempty integers >= 0, got {list(powers)}")
+    if not powers or _extremes(powers)[0] < 0:
+        raise DegenerateInputError("powers must be nonempty integers >= 0")
     frame = DirectionFrame.from_direction(u)
     group = standard_group("cartan")
     g_word = tuple(g_word)

@@ -16,6 +16,7 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Sequence
 
 from . import __version__
 from .errors import BudgetExceededError, HorocalcError, ParseError
@@ -114,11 +115,12 @@ def _parse_pair(text: str) -> tuple[int, int]:
         raise ParseError(f"expected 'a,b' integers, got {text!r}") from exc
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(text: str) -> Sequence[int]:
+    """``lo..hi`` as a range, held as its two bounds whatever its length, or ``a,b,...``."""
     try:
         if ".." in text:
             lo, hi = text.split("..")
-            return list(range(int(lo), int(hi) + 1))
+            return range(int(lo), int(hi) + 1)
         return [int(tok) for tok in text.split(",") if tok]
     except ValueError as exc:
         raise ParseError(f"expected 'lo..hi' or 'a,b,...' integers, got {text!r}") from exc
@@ -494,7 +496,7 @@ def cmd_selftest(args):
 
     from .cartan import detour_pairings
     from .classifier import anagram_set
-    from .groups import HeisenbergElement, cartan_word_element, marked_heisenberg
+    from .groups import CartanElement, HeisenbergElement, cartan_word_element, marked_heisenberg
     from .metric import ball as _ball
     from .metric import word_length
     from .reference import brute_force_anagram_offsets, brute_force_detour_pairings, naive_ball
@@ -558,6 +560,16 @@ def cmd_selftest(args):
                 expected = ("exact", d) if d <= budget else ("exceeds_budget", None)
                 ok &= (res.status, res.length) == expected
     checks["central_table_vs_ball"] = ok
+
+    ok = True
+    # radius 8 passes the identity ball's radius 7: lookups and backward searches both answer
+    for key, d in rng.sample(list(naive_ball(ca, 8).items()), 2000):
+        g = CartanElement(*key[1:])
+        for budget in (d - 1, d, d + 2) if d else (0, 2):
+            res = word_length(ca, g, budget)
+            expected = ("exact", d) if d <= budget else ("exceeds_budget", None)
+            ok &= (res.status, res.length) == expected
+    checks["cartan_ball_search_vs_ball"] = ok
 
     passed = all(checks.values())
     _emit(args, {"passed": passed, "checks": checks}, None, {})

@@ -1,23 +1,33 @@
 """Exact word metrics on implicit Cayley graphs: balls, lengths, geodesic tests.
 
-Word lengths in a Heisenberg group H_k come first from its central table
-(``_CentralTable``, one per marked group, grown lazily): layer L holds, for
-each abelianized endpoint (a, b), the exact set of central values c that
-words of length exactly L reach. The length of (a, b, c) is the first layer
-from the gauge bound up that holds c. Every other length comes from a
-bidirectional level-synchronous search pruned by the abelianized gauge, which
-lower-bounds word length (each generator projects into the unit ball of the
-gauge). The heuristic is admissible, so results are exact and "exceeds
-budget" is a proved claim whenever the frontiers were exhausted rather than
-capped.
+A length query is answered by the first of three tiers that applies:
+
+1. H_k: the central table (``_CentralTable``, one per marked group, grown
+   lazily). Layer L holds, for each abelianized endpoint (a, b), the exact
+   set of central values c that words of length exactly L reach; the length
+   of (a, b, c) is the first layer from the gauge bound up that holds c.
+2. Cartan: the identity ball (``_IdentityBall``, one per marked group, built
+   on its first query): the largest complete ball around the identity with
+   at most ``ORACLE_BALL_ENTRIES`` elements. A target in it is a lookup;
+   otherwise a backward search from the target stops at the first level
+   that meets the ball. If its states come to outnumber the ball's, the
+   bidirectional search takes over with the ball as its forward side.
+3. Everything else, and any query a tier's charge puts over the state cap:
+   a bidirectional level-synchronous search.
+
+The searches prune by the abelianized gauge, which lower-bounds word length
+(each generator projects into the unit ball of the gauge). The bound is
+admissible, so results are exact and "exceeds budget" is a proved claim
+whenever the frontiers were exhausted rather than capped.
 
 One state cap bounds every enumeration, in group elements held, checked
-after every level: a search charges its states, the central table the
-elements of every layer up to the one a query scans, a ball its entries. The
-table's charge depends only on the marking and the layer, and a query that
-would charge more runs the search, so a capped answer never depends on what
-ran before. A length query over the cap is ``inconclusive``; a ball over it
-raises BudgetExceededError.
+after every level. The central table charges the elements of every layer up
+to the one a query scans, the identity ball its entries plus the backward
+states held, the bidirectional search its states, a ball its entries. The
+tiers' charges do not depend on what ran before, and a query a tier cannot
+answer within the cap runs the plain bidirectional search, so a capped answer
+never depends on earlier queries. A length query over the cap is
+``inconclusive``; a ball over it raises BudgetExceededError.
 
 Searches run on canonical element keys (``GroupElement.key()`` tuples), not
 on element objects: each state is its own hash key, and right multiplication
@@ -40,6 +50,7 @@ Key = tuple
 Step = Callable[[Key], Key]
 
 DEFAULT_STATE_CAP = 2_000_000
+ORACLE_BALL_ENTRIES = 5_000  # bound on the identity ball of each Cartan marking
 
 
 @dataclass
@@ -72,12 +83,29 @@ def _gauge_ceil_fn(group: MarkedGroup) -> Callable[[tuple[int, ...]], int]:
     """ceil(gauge(v)) as pure integer arithmetic.
 
     Constantly 0, still a lower bound, when the hull is not full-dimensional
-    or 0 is not interior: then no facet list describes the gauge.
+    or 0 is not interior: then no facet list describes the gauge. In rank 2
+    the facet rows are unpacked once, so a call is a few products.
     """
     poly = projected_polytope(group)
     facets = poly.integer_facets()
     if poly.dim != poly.ambient or any(c <= 0 for _, c in facets):
         facets = []
+
+    if poly.ambient == 2:
+        rows = [(c0, c1, off) for (c0, c1), off in facets]
+
+        def gauge_ceil(v: tuple[int, ...]) -> int:
+            x, y = v
+            best = 0
+            for c0, c1, off in rows:
+                num = c0 * x + c1 * y
+                if num > 0:
+                    q = -(-num // off)
+                    if q > best:
+                        best = q
+            return best
+
+        return gauge_ceil
 
     def gauge_ceil(v: tuple[int, ...]) -> int:
         best = 0
@@ -90,6 +118,41 @@ def _gauge_ceil_fn(group: MarkedGroup) -> Callable[[tuple[int, ...]], int]:
         return best
 
     return gauge_ceil
+
+
+class _GaugeMemo(dict):
+    """Abelianized point p -> max(floor, ceil gauge(target - p)), or of gauge(p) if no target.
+
+    Filled on misses only, so the gauge callable runs once per point.
+    """
+
+    def __init__(self, gauge: Callable[[tuple[int, ...]], int],
+                 target: tuple[int, ...] | None = None, floor: int = 0):
+        super().__init__()
+        self.gauge, self.target, self.floor = gauge, target, floor
+
+    def __missing__(self, p: tuple[int, ...]) -> int:
+        v = p if self.target is None else tuple(map(sub, self.target, p))
+        bound = self[p] = max(self.gauge(v), self.floor)
+        return bound
+
+
+def _steps_left_bound(group: MarkedGroup, target: tuple[int, ...] | None = None,
+                      floor: int = 0) -> Callable[[tuple[int, ...]], int]:
+    """A search's lower bound on the steps left from a state, as a map on its abelianized point p.
+
+    The bound is max(floor, ceil gauge(target - p)) toward an element over
+    ``target``, or max(floor, ceil gauge(p)) toward the identity when
+    ``target`` is None. In H_k and the Cartan group many states share p, so
+    it is memoized per point and query. In an abelian group p is the state
+    itself and a memo would never hit, so the gauge is called directly.
+    """
+    gauge = _gauge_ceil_fn(group)
+    if group.kind != "abelian" or floor:
+        return _GaugeMemo(gauge, target, floor).__getitem__
+    if target is None:
+        return gauge
+    return lambda p: gauge(tuple(map(sub, target, p)))
 
 
 def _abelian_step(s: AbelianElement) -> Step:
@@ -150,15 +213,16 @@ class _CentralTable:
     to ``(lo, mask)``: bit i of mask is set iff some such word evaluates to
     (a, b, lo + i). A generator s moves p by s.a + s.b and shifts the whole
     set by s.c + a.s_b, so a layer is shifts and ORs of the one before; the
-    sets are exact, holes included. ``charges[L]`` counts the elements held
-    by layers 0..L, the unit a search state is counted in, and depends only
-    on the marking and L.
+    sets are exact, holes included. ``sizes[L]`` counts the elements of
+    layer L and ``charges[L]`` those held by layers 0..L, the unit a search
+    state is counted in; both depend only on the marking and L.
     """
 
     def __init__(self, group: MarkedGroup):
         self.rank = group.params
         self.moves = [(s.a + s.b, s.c, s.b) for _, s in group.generator_items()]
         self.layers: list[dict[Key, tuple[int, int]]] = [{(0,) * (2 * self.rank): (0, 1)}]
+        self.sizes = [1]
         self.charges = [1]
 
     def _grow(self):
@@ -177,19 +241,22 @@ class _CentralTable:
                 else:
                     nxt[q] = (old[0], old[1] | mask << (shift - old[0]))
         self.layers.append(nxt)
-        self.charges.append(self.charges[-1] + sum(m.bit_count() for _, m in nxt.values()))
+        self.sizes.append(sum(m.bit_count() for _, m in nxt.values()))
+        self.charges.append(self.charges[-1] + self.sizes[-1])
 
     def lookup(self, key: Key, lower: int, budget: int, state_cap: int) -> LengthResult | None:
         """The first layer in lower..budget holding the element, grown as needed.
 
         None when a layer to scan would charge more than ``state_cap``; the
-        answer then needs the search.
+        answer then needs the search. The generating set is symmetric, so
+        layer L + 1 holds every element of layer L - 1 (append s s~): a layer
+        whose charge that floor already puts over the cap is never built.
         """
         p, c = key[1:-1], key[-1]
-        layers, charges = self.layers, self.charges
+        layers, sizes, charges = self.layers, self.sizes, self.charges
         for length in range(lower, budget + 1):
             while len(layers) <= length:
-                if charges[-1] > state_cap:
+                if charges[-1] + (sizes[-2] if len(sizes) > 1 else 0) > state_cap:
                     return None
                 self._grow()
             if charges[length] > state_cap:
@@ -203,6 +270,93 @@ class _CentralTable:
 @lru_cache(maxsize=64)
 def _central_table(group: MarkedGroup) -> _CentralTable:
     return _CentralTable(group)
+
+
+class _IdentityBall:
+    """The largest complete ball around the identity with at most ``max_entries`` elements.
+
+    One per marked Cartan group, built once on its first length query. A
+    target in the ball is a lookup. For a target outside it, |t| > R (the
+    radius) and a level-synchronous search runs backward from t: a state k
+    at depth j satisfies |t| <= j + |k|, and a geodesic of length L > R
+    passes a state of length R at depth L - R and none of length <= R
+    before. So the first level that meets the ball is L - R, and no meeting
+    up to depth j proves |t| > j + R. States outside the ball are pruned by
+    the lower bound max(gauge, R + 1). ``dist`` maps each element of the
+    ball to its length and ``sphere`` lists those of length R.
+    """
+
+    def __init__(self, group: MarkedGroup, max_entries: int):
+        self.group = group
+        self.steps = _step_fns(group)
+        self.stop = 1 + group.abelian_rank
+        e = group.identity.key()
+        dist: dict[Key, int] = {e: 0}
+        frontier: list[Key] = [e]
+        radius = 0
+        while frontier:
+            nxt: dict[Key, int] = {}
+            for g in frontier:
+                for step in self.steps:
+                    k = step(g)
+                    if k not in dist:
+                        nxt[k] = radius + 1
+            if len(dist) + len(nxt) > max_entries:
+                break
+            dist.update(nxt)
+            frontier = list(nxt)
+            radius += 1
+        self.dist, self.radius, self.sphere = dist, radius, frontier
+
+    def search(self, start: Key, lower: int, budget: int, state_cap: int) -> LengthResult | None:
+        """The length of ``start`` if <= budget, else a proof that it exceeds it.
+
+        Once the backward states outnumber the ball's, a long target is
+        better met from both sides: the bidirectional search takes over,
+        its forward side starting as the ball. Charges the ball's entries
+        plus the states held, checked after every level; None when that
+        would pass ``state_cap`` with no proved answer, so the query needs
+        the plain bidirectional search.
+        """
+        dist, radius, steps, stop = self.dist, self.radius, self.steps, self.stop
+        if len(dist) > state_cap:
+            return None
+        d = dist.get(start)
+        if d is not None:
+            if d <= budget:
+                return LengthResult("exact", d, lower, 0)
+            return LengthResult("exceeds_budget", None, lower, 0)
+        bound = _steps_left_bound(self.group, floor=radius + 1)
+        seen = {start: 0}
+        frontier = [start]
+        depth = 0
+        while True:
+            if len(dist) + len(seen) > state_cap:
+                return None
+            if not frontier or depth + radius >= budget:
+                # no meeting up to this depth: |start| > depth + radius
+                return LengthResult("exceeds_budget", None, lower, len(seen) - 1)
+            if len(seen) > len(dist):
+                res = _bidirectional_search(self.group, start, lower, budget, state_cap,
+                                            self, (seen, frontier, depth))
+                return None if res.status == "inconclusive" else res
+            depth += 1
+            nxt: list[Key] = []
+            for node in frontier:
+                for step in steps:
+                    k = step(node)
+                    if k in dist:
+                        return LengthResult("exact", depth + radius, lower, len(seen) - 1)
+                    if k in seen or depth + bound(k[1:stop]) > budget:
+                        continue
+                    seen[k] = depth
+                    nxt.append(k)
+            frontier = nxt
+
+
+@lru_cache(maxsize=64)
+def _identity_ball(group: MarkedGroup) -> _IdentityBall:
+    return _IdentityBall(group, ORACLE_BALL_ENTRIES)
 
 
 def gauge_lower_bound(group: MarkedGroup, g: GroupElement) -> int:
@@ -268,11 +422,9 @@ def word_length(
 ) -> LengthResult:
     """Exact word length of g if <= budget, otherwise a proof that it exceeds it.
 
-    Heisenberg lengths come from the group's central table while the layers
-    to scan charge at most ``state_cap``; other answers come from the
-    search. Both search frontiers prune states whose depth plus remaining
-    gauge exceeds the budget; that never discards a viable path, so an
-    exhausted search is a proof of ``exceeds_budget``.
+    Heisenberg lengths come from the group's central table and Cartan
+    lengths from its identity ball, each while its charge stays within
+    ``state_cap``; every other answer comes from the bidirectional search.
     """
     if budget < 0:
         raise DegenerateInputError("budget must be >= 0")
@@ -284,29 +436,40 @@ def word_length(
         return LengthResult("exact", 0, lower, 0)
     if lower > budget:
         return LengthResult("exceeds_budget", None, lower, 0)
+    res = None
     if group.kind == "heisenberg":
         res = _central_table(group).lookup(start, lower, budget, state_cap)
-        if res is not None:
-            return res
+    elif group.kind == "cartan":
+        res = _identity_ball(group).search(start, lower, budget, state_cap)
+    return res if res is not None else _bidirectional_search(group, start, lower, budget,
+                                                             state_cap)
 
-    gauge_fn = _gauge_ceil_fn(group)
+
+def _bidirectional_search(group: MarkedGroup, start: Key, lower: int, budget: int,
+                          state_cap: int, ball: _IdentityBall | None = None,
+                          backward: tuple[dict[Key, int], list[Key], int] | None = None,
+                          ) -> LengthResult:
+    """Level-synchronous search from the identity and from ``start``, smaller side first.
+
+    Both frontiers prune states whose depth plus remaining gauge exceeds the
+    budget; that never discards a viable path, so an exhausted search is a
+    proof of ``exceeds_budget``. The states held are checked against
+    ``state_cap`` after every level. Given an identity ``ball`` and the
+    ``backward`` side it began (states, frontier, depth), the search goes
+    on from there: the forward side starts as the ball at depth R, its
+    sphere the frontier, and is copied before it first grows.
+    """
     steps = _step_fns(group)
-    target_ab = g.abelianized()
     stop = 1 + group.abelian_rank
+    e = group.identity.key()
 
-    fwd: dict[Key, int] = {e: 0}
-    bwd: dict[Key, int] = {start: 0}
-    fwd_frontier: list[Key] = [e]
-    bwd_frontier: list[Key] = [start]
-    df = db = 0
+    shared = ball.dist if ball else None
+    fwd, fwd_frontier, df = (shared, ball.sphere, ball.radius) if ball else ({e: 0}, [e], 0)
+    bwd, bwd_frontier, db = backward or ({start: 0}, [start], 0)
+    fwd_h = _steps_left_bound(group, target=start[1:stop])
+    bwd_h = _steps_left_bound(group)
     best = None
-    expanded = 0
-
-    def fwd_h(k: Key) -> int:
-        return gauge_fn(tuple(map(sub, target_ab, k[1:stop])))
-
-    def bwd_h(k: Key) -> int:
-        return gauge_fn(k[1:stop])
+    expanded = len(bwd) - 1
 
     while True:
         if best is not None and best <= budget and df + db >= best:
@@ -320,6 +483,8 @@ def word_length(
             return LengthResult("exceeds_budget", None, lower, expanded)
 
         forward = bool(fwd_frontier) and (not bwd_frontier or len(fwd) <= len(bwd))
+        if forward and fwd is shared:
+            fwd = dict(shared)
         if forward:
             frontier, seen, other, depth, h = fwd_frontier, fwd, bwd, df + 1, fwd_h
         else:
@@ -330,7 +495,7 @@ def word_length(
                 k = step(node)
                 if k in seen:
                     continue
-                if depth + h(k) > budget:
+                if depth + h(k[1:stop]) > budget:
                     continue
                 seen[k] = depth
                 expanded += 1

@@ -1,14 +1,16 @@
 import contextlib
 import io
 import json
+import re
 import time
+import tracemalloc
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horocalc.cli import main
+from horocalc.cli import _parse_range, main
 from horocalc.errors import ParseError
 from horocalc.groups import full_coordinates, group_from_json, standard_group
 from horocalc.reference import naive_ball
@@ -259,6 +261,25 @@ def test_upper_audit_refuses_long_rays_before_any_work(capsys):
     assert "n + |h| <= 100" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("cartan-audit", "--audit", "upper", "--direction", "1,1", "--n-range", "0..5000000"), 3),
+    (("cartan-audit", "--audit", "upper", "--direction", "1,1", "--n-range=-1..5000000"), 2),
+    (("distinctness", "--u=-1,-1", "--v=1,1", "--powers=-1..5000000"), 2),
+    (("stabilizer", "--u=1,1", "--element=x", "--powers=-1..5000000"), 2),
+])
+def test_long_ranges_are_refused_without_being_built(capsys, argv, code):
+    # a lo..hi range is held by its bounds: five million numbers would take 200 MB
+    assert _parse_range("0..5000000") == range(5_000_001)
+    tracemalloc.start()
+    try:
+        assert main(list(argv)) == code
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_ray_validates_the_whole_requested_prefix(capsys):
     # 21 x then z: the 66-letter prefix holds z x^21 z, which x^21 z z shortens to 65
     block = " ".join(["x"] * 21 + ["z"])
@@ -420,6 +441,41 @@ def _ball_argv(radius, state_cap):
         state_cap.map(lambda cap: f"--state-cap={cap}"))
 
 
+def _fields_not_above(bound):
+    """True for text whose ','- or '..'-separated fields int() rejects or reads as <= bound."""
+    check = _not_above(bound)
+    return lambda text: all(check(field) for field in re.split(r",|\.\.", text))
+
+
+def _scan_argv(command, *options):
+    """``command`` with options (name, (in_range, keep), near): either every value is drawn
+    from in_range, or each is drawn from in_range or from text fuzzed near the fragments
+    ``near`` that ``keep`` accepts."""
+    def value(values, near, fuzzed):
+        in_range, keep = values
+        return st.one_of(in_range, _fuzz_text(*near).filter(keep)) if fuzzed else in_range
+
+    def argv(fuzzed):
+        return st.tuples(st.just(command), *(value(values, near, fuzzed).map(
+            lambda text, name=name: f"--{name}={text}") for name, values, near in options))
+
+    return st.one_of(argv(False), argv(True))
+
+
+# directions, powers, horizons and the state cap stay small, so every scan is short
+_PAIR = (st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(lambda p: f"{p[0]},{p[1]}"),
+         _fields_not_above(3))
+_POWERS = (st.one_of(st.lists(st.integers(-2, 3).map(str), max_size=3).map(",".join),
+                     st.tuples(st.integers(-2, 3), st.integers(-2, 3)).map(
+                         lambda r: f"{r[0]}..{r[1]}")),
+           _fields_not_above(3))
+_SCAN_OPTIONS = (
+    ("powers", _POWERS, (",", "..")),
+    ("horizon", (st.integers(-2, 6).map(str), _not_above(6)), ()),
+    ("state-cap", (st.integers(-1, 5000).map(str), _not_above(5000)), ()),
+)
+
+
 @lru_cache(maxsize=None)
 def _naive_lengths(name):
     return naive_ball(LENGTH_GROUPS[name], 6)
@@ -458,6 +514,11 @@ FUZZED_ARGV = st.one_of(
                st.one_of(st.integers(-1, 5000).map(str), _fuzz_text().filter(_not_above(5000)))),
     st.tuples(st.just("subfinsler"), st.just("--group=h1"),
               st.integers(-2, 4).map(lambda r: f"--fingerprint={r}")),
+    _scan_argv("distinctness", ("u", _PAIR, (",",)), ("v", _PAIR, (",",)), *_SCAN_OPTIONS),
+    _scan_argv("stabilizer", ("u", _PAIR, (",",)),
+               ("element", (st.lists(st.sampled_from(["x", "y", "x~", "y~", "q"]), max_size=4)
+                            .map(" ".join), lambda text: True), ("x", "y~", " ")),
+               *_SCAN_OPTIONS),
 )
 
 

@@ -321,3 +321,136 @@ def test_the_table_charges_every_element_of_the_layers_it_scans(h1):
     assert word_length(h1, z, 4, state_cap=charge) == LengthResult("exact", 4, 0, 0)
     searched = word_length(h1, z, 4, state_cap=charge - 1)
     assert searched.exact and searched.expanded > 0
+
+
+def test_the_table_never_builds_a_layer_its_floor_puts_over_the_cap():
+    # a marking no other test uses, so its table starts empty here
+    group = marked_heisenberg(1, {"p": [1, 0, 1], "q": [0, 1, 2]})
+    probe = metric._CentralTable(group)
+    for _ in range(6):
+        probe._grow()
+    # layer 6 holds every element of layer 4 (append s s~): this cap rules it out unbuilt
+    cap = probe.charges[5] + probe.sizes[4] - 1
+    assert probe.charges[5] <= cap < probe.charges[6]
+    g = group.evaluate(parse_word("p p p q q q"))
+    lower = gauge_lower_bound(group, g)
+    res = word_length(group, g, budget=6, state_cap=cap)
+    assert len(metric._central_table(group).layers) == 6  # layers 0..5 only
+    # the answer a table that built layer 6 and found it over the cap gives: the search's
+    assert res == metric._bidirectional_search(group, g.key(), lower, 6, cap)
+    assert (res.status, res.length) == ("exact", 6) and res.expanded > 0
+    # a cap that holds layer 6 still gets the table's answer
+    res = word_length(group, g, budget=6, state_cap=probe.charges[6])
+    assert res == LengthResult("exact", 6, lower, 0)
+    assert len(metric._central_table(group).layers) == 7
+
+
+@pytest.mark.parametrize("name", ["z2", "cartan"])
+def test_steps_left_bound_is_the_gauge_toward_its_target(name):
+    group = KERNEL_GROUPS[name]
+    assert metric._steps_left_bound(group)((0, 1)) == 1  # toward the identity
+    assert metric._steps_left_bound(group, target=(3, 1))((0, 1)) == 3
+    assert metric._steps_left_bound(group, floor=5)((0, 1)) == 5
+    assert metric._steps_left_bound(group, target=(3, 1), floor=2)((-4, 0)) == 8
+
+
+# Exact Cartan lengths up to these radii, past the identity ball's radius 7, so that
+# both the ball lookup and the backward search answer.
+CARTAN_ORACLES = {"cartan": 9, "cartan-custom": 8}
+
+
+@lru_cache(maxsize=None)
+def _cartan_oracle(name):
+    group = KERNEL_GROUPS[name]
+    return group, CARTAN_ORACLES[name], naive_ball(group, CARTAN_ORACLES[name])
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(CARTAN_ORACLES)), data=st.data())
+def test_cartan_lengths_match_exact_balls(name, data):
+    group, radius, dist = _cartan_oracle(name)
+    word = data.draw(st.lists(st.sampled_from(group.labels), max_size=radius + 3))
+    g = group.evaluate(word)
+    d = dist.get(g.key())  # None: longer than radius
+    budgets = {data.draw(st.integers(0, radius))}
+    if d is not None:
+        budgets |= {b for b in (d - 1, d, d + 2) if b >= 0}
+    ball_radius = metric._identity_ball(group).radius
+    for budget in sorted(budgets):
+        res = word_length(group, g, budget)
+        assert res.status != "inconclusive"
+        if d is not None and d <= budget:
+            assert (res.status, res.length) == ("exact", d)
+        else:
+            assert res.status == "exceeds_budget"
+        if d is not None and d <= ball_radius:
+            assert res.expanded == 0  # a lookup
+
+
+def _reduced_word(group, rng, length):
+    word = []
+    while len(word) < length:
+        letter = rng.choice(group.labels)
+        if not word or group.inverse_of_label(letter) != word[-1]:
+            word.append(letter)
+    return word
+
+
+@pytest.mark.parametrize("name", ["cartan", "cartan-custom"])
+def test_cartan_ball_search_agrees_with_the_bidirectional_search(name, rng):
+    group = KERNEL_GROUPS[name]
+    for _ in range(30):
+        word = _reduced_word(group, rng, rng.randint(8, 18))
+        g = group.evaluate(word)
+        lower = gauge_lower_bound(group, g)
+        full = word_length(group, g, len(word))
+        assert full.exact
+        for budget in sorted({len(word), full.length, full.length - 1, lower}):
+            if budget < lower:
+                continue
+            ours = word_length(group, g, budget)
+            theirs = metric._bidirectional_search(group, g.key(), lower, budget,
+                                                  metric.DEFAULT_STATE_CAP)
+            assert (ours.status, ours.length) == (theirs.status, theirs.length), (word, budget)
+
+
+def test_a_small_identity_ball_search_matches_naive_lengths(cartan):
+    # radius 3: targets up to radius 6 need backward searches three levels deep
+    small = metric._IdentityBall(cartan, 60)
+    assert small.radius == 3
+    for key, d in naive_ball(cartan, 6).items():
+        if not d:
+            continue
+        lower = gauge_lower_bound(cartan, CartanElement(*key[1:]))
+        for budget in (d - 1, d, d + 2):
+            if budget < lower:
+                continue
+            res = small.search(key, lower, budget, metric.DEFAULT_STATE_CAP)
+            expected = ("exact", d) if d <= budget else ("exceeds_budget", None)
+            assert (res.status, res.length) == expected, (key, budget)
+
+
+def test_the_cartan_ball_charges_its_entries_and_the_states_held():
+    # a marking no other test uses, so its ball is built by the first query below
+    group = marked_cartan({"p": "x y~", "q": "y"})
+    g = group.evaluate(parse_word("p q q p~ q~ q~ p q p~ q~"))  # length 10, past the radius
+    lower = gauge_lower_bound(group, g)
+    size = len(naive_ball(group, 7))
+    held = 17  # backward states held after the last level before the one that meets the ball
+    caps = (size - 1, size, size + held - 1, size + held, metric.DEFAULT_STATE_CAP)
+    cold = [word_length(group, g, 12, state_cap=cap) for cap in caps]
+    ball = metric._identity_ball(group)
+    assert (ball.radius, len(ball.dist)) == (7, size)
+    warm = [word_length(group, g, 12, state_cap=cap) for cap in caps]
+    assert cold == warm
+    for cap, res in zip(caps, cold):
+        searched = metric._bidirectional_search(group, g.key(), lower, 12, cap)
+        if cap < size + held:
+            assert res == searched
+        else:
+            assert (res.status, res.length) == ("exact", 10) == (searched.status, searched.length)
+            assert 0 < res.expanded < searched.expanded
+    # a target inside the ball: the ball's entries alone are the charge
+    inside = group.evaluate(parse_word("p q p~ q~"))
+    assert word_length(group, inside, 4, state_cap=size) == LengthResult("exact", 4, 0, 0)
+    assert word_length(group, inside, 4, state_cap=size - 1).expanded > 0
