@@ -79,7 +79,7 @@ def central_with_barycenter(b: tuple[int, int]) -> tuple:
     return elem, word
 
 
-AUDIT_MAX_LENGTH = 100  # fail-closed cap on the word lengths either audit reaches
+AUDIT_MAX_LENGTH = 100  # fail-closed cap on the word lengths the audits and scans reach
 
 
 def detour_pairings(target, u_perp, n: int, max_length: int) -> dict[int, tuple[int, int]]:
@@ -298,13 +298,18 @@ def distinctness_witness(
     Evaluates both rays against powers of the separating central element;
     the u-side values stay strictly positive while the v-side values drop
     (often certifying 0 exactly). All numbers are monotone horizon values.
-    ``powers`` must be a nonempty list of integers >= 1.
+    ``powers`` must be a nonempty list of integers >= 1; a largest power
+    times |h| above AUDIT_MAX_LENGTH raises before any search.
     """
     if not powers or _extremes(powers)[0] < 1:
         raise DegenerateInputError("powers must be nonempty integers >= 1")
     group = standard_group("cartan")
     b = pick_witness_barycenter(u, v)
     _, h_word = central_with_barycenter(b)
+    longest = _extremes(powers)[1] * len(h_word)
+    if longest > AUDIT_MAX_LENGTH:
+        raise BudgetExceededError(f"distinctness scan limited to power * |h| <= "
+                                  f"{AUDIT_MAX_LENGTH}, got {longest}")
     u_vals: dict[int, list[int]] = {}
     v_vals: dict[int, list[int]] = {}
     u_min = None
@@ -359,7 +364,8 @@ def stabilizer_escape(
     b(h^k) with (g^m . b)(h^k) = b(g^{-m} h^k) - b(g^{-m}) for the smallest
     power m that points the translated barycenter against u_perp.
     ``powers`` must be a nonempty list of integers >= 0; power 0 gives the
-    trivial row of zeros.
+    trivial row of zeros. A longest word |g^-m| + |h| * max(powers) above
+    AUDIT_MAX_LENGTH raises before any search.
     """
     if not powers or _extremes(powers)[0] < 0:
         raise DegenerateInputError("powers must be nonempty integers >= 0")
@@ -377,6 +383,10 @@ def stabilizer_escape(
     if m * pairing <= 0:
         raise DegenerateInputError("m must point the translated barycenter against u_perp")
     h_word = ("x", "y", "x~", "y~", "x~", "y~", "x", "y")
+    longest = abs(m) * len(g_word) + len(h_word) * _extremes(powers)[1]
+    if longest > AUDIT_MAX_LENGTH:
+        raise BudgetExceededError(f"stabilizer scan limited to |g^-m| + |h| * power <= "
+                                  f"{AUDIT_MAX_LENGTH}, got {longest}")
     gm_word = g_word * m if m > 0 else group.invert_word(g_word) * (-m)
     gm_inv_word = group.invert_word(gm_word)
     spec = DigitizedRay(frame.u)

@@ -6,13 +6,19 @@ minimal face F in the abelianized generator hull decides the orbit when F is
 non-commutative; commutative faces additionally need the minimal face E in
 the full generator hull. Groups whose generators all commute are reported as
 classified by the abelian rule, without claiming the 2-step statement.
+
+Anagram offset sets (the central offsets of all reorderings of a word) are
+a sumset over the word's commuting blocks of letters, each block an exact
+DP over letter counts whose states hold value sets as ``(lo, bitmask)``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Collection, Sequence
 
 from .errors import BudgetExceededError, DegenerateInputError, GroupKindMismatchError, SpecNotGeodesicError
@@ -176,6 +182,7 @@ class AnagramSet:
     delta: int  # max |commutator exponent| over generator pairs
 
 
+@lru_cache(maxsize=64)
 def central_increment_bound(group: MarkedGroup) -> int:
     """delta = max |z-exponent of [s, t]| over generator pairs."""
     gens = [g for _, g in group.generator_items()]
@@ -186,17 +193,100 @@ def central_increment_bound(group: MarkedGroup) -> int:
     return best
 
 
+@lru_cache(maxsize=256)
+def _commuting_blocks(group: MarkedGroup, letters: tuple[str, ...]) -> tuple[frozenset[str], ...]:
+    """Connected components of the non-commuting graph on ``letters``.
+
+    s and t are adjacent iff [s, t] != 1. Letters of different components
+    commute, so such a pair adds the same central amount in either order.
+    """
+    blocks: list[list[str]] = []
+    for s in letters:
+        g = group.generator(s)
+        block, rest = [s], []
+        for b in blocks:
+            if any(commutator_z_exponent(group, g, group.generator(t)) for t in b):
+                block += b
+            else:
+                rest.append(b)
+        blocks = rest + [block]
+    return tuple(map(frozenset, blocks))
+
+
+def _set_bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _block_offsets(group: MarkedGroup, word: Word, max_states: int, cells: int):
+    """(lo, mask, cells): the values v - c(word) over the reorderings of ``word``.
+
+    Bit i of mask is set iff some reordering reaches lo + i. The lattice
+    states are the letter count vectors k <= n in mixed radix, the last
+    letter fastest, so index order is a topological order; appending letter
+    i at state k adds c_i + sum_j k_j (a_j . b_i), precomputed per index.
+    ``cells`` counts the values held so far, this lattice's added.
+    """
+    letters = sorted(set(word))
+    counts = [word.count(s) for s in letters]
+    gens = [group.generator(s) for s in letters]
+    strides = [math.prod(n + 1 for n in counts[i + 1:]) for i in range(len(letters))]
+    incs = []
+    for gi in gens:
+        inc = [gi.c]
+        for gj, n in zip(gens, counts):
+            w = sum(map(mul, gj.a, gi.b))
+            inc = [v + k * w for v in inc for k in range(n + 1)]
+        incs.append(inc)
+    los, masks = [0] * len(incs[0]), [1] * len(incs[0])
+    cells += 1
+    moves = list(zip(strides, incs))
+    states = itertools.product(*(range(n + 1) for n in counts))
+    for idx, state in enumerate(itertools.islice(states, 1, None), 1):
+        lo = None
+        for k, (stride, inc) in zip(state, moves):
+            if k:
+                p = idx - stride
+                shift, m = los[p] + inc[p], masks[p]
+                if lo is None:
+                    lo, mask = shift, m
+                elif shift < lo:
+                    lo, mask = shift, m | mask << (lo - shift)
+                else:
+                    mask |= m << (shift - lo)
+        los[idx], masks[idx] = lo, mask
+        cells += mask.bit_count()
+        if cells > max_states:
+            raise BudgetExceededError(f"anagram state space exceeded {max_states} cells")
+    base, idx = 0, 0
+    for s in word:
+        stride, inc = moves[letters.index(s)]
+        base += inc[idx]
+        idx += stride
+    return los[-1] - base, masks[-1], cells
+
+
 def anagram_set(
     group: MarkedGroup,
     word: Sequence[str],
     max_states: int = 500_000,
 ) -> AnagramSet:
-    """Exact offset set by dynamic programming over consumed letter counts.
+    """Exact offset set, as a sumset over commuting blocks of letters.
 
-    The abelianized part of a partial product depends only on how many of
-    each letter were consumed, so the central increment of appending a
-    letter is a function of (counts, letter); states stay polynomial in the
-    word length instead of factorial.
+    The letters split into the components of the non-commuting graph
+    (``_commuting_blocks``); reorderings within the blocks are independent
+    and pairs across blocks add a fixed amount, so the offsets are the
+    sumset of the blocks' offsets. Each block's are exact by a DP over
+    consumed letter counts (``_block_offsets``): the abelianized part of a
+    partial product depends only on the counts, so each state holds the
+    set of central values reached there as ``(lo, mask)``, and a state is
+    the shift-and-OR of its predecessors.
+
+    ``max_states`` bounds the cells, the values held over all block states.
+    Every state holds at least one, so a word whose blocks have more states
+    than ``max_states`` is refused before any work.
     """
     if group.kind != "heisenberg":
         raise GroupKindMismatchError("anagram sets are defined in Heisenberg mode")
@@ -206,41 +296,19 @@ def anagram_set(
             "anagram sets need a non-degenerate commutator subgroup"
         )
     word = tuple(word)
-    distinct = sorted(set(word))
-    counts = tuple(word.count(s) for s in distinct)
-    gens = [group.generator(s) for s in distinct]
-    a_vecs = [g.a for g in gens]
-    b_vecs = [g.b for g in gens]
-    c_vals = [g.c for g in gens]
-
-    states: dict[tuple[int, ...], set[int]] = {tuple(0 for _ in distinct): {0}}
-    total_cells = 1
-    for _ in range(len(word)):
-        nxt: dict[tuple[int, ...], set[int]] = {}
-        for state, cs in states.items():
-            # abelianized a-part after consuming `state`
-            a_part = [0] * len(a_vecs[0]) if a_vecs else []
-            for cnt, av in zip(state, a_vecs):
-                if cnt:
-                    for i, v in enumerate(av):
-                        a_part[i] += cnt * v
-            for li in range(len(distinct)):
-                if state[li] >= counts[li]:
-                    continue
-                inc = c_vals[li] + sum(p * q for p, q in zip(a_part, b_vecs[li]))
-                key = state[:li] + (state[li] + 1,) + state[li + 1 :]
-                bucket = nxt.setdefault(key, set())
-                for c in cs:
-                    bucket.add(c + inc)
-        states = nxt
-        total_cells += sum(len(v) for v in states.values())
-        if total_cells > max_states:
-            raise BudgetExceededError(
-                f"anagram state space exceeded {max_states} cells"
-            )
-    (final_cs,) = states.values() if states else ({0},)
-    base = group.evaluate(word).c
-    offsets = frozenset((c - base) // unit for c in final_cs)
+    blocks = [tuple(s for s in word if s in block)
+              for block in _commuting_blocks(group, tuple(sorted(set(word))))]
+    if sum(math.prod(b.count(s) + 1 for s in set(b)) for b in blocks) > max_states:
+        raise BudgetExceededError(f"anagram state space exceeded {max_states} cells")
+    lo, mask, cells = 0, 1, 0
+    for block in blocks:
+        block_lo, block_mask, cells = _block_offsets(group, block, max_states, cells)
+        lo += block_lo
+        small, big = sorted((mask, block_mask), key=int.bit_count)
+        mask = 0
+        for i in _set_bits(small):
+            mask |= big << i
+    offsets = frozenset((lo + i) // unit for i in _set_bits(mask))
     return AnagramSet(word=word, offsets=offsets, delta=central_increment_bound(group))
 
 
@@ -253,16 +321,13 @@ class IntervalReport:
     passed: bool
 
 
-def offset_interval_probe(group: MarkedGroup, letters: Sequence[str], n: int,
-                         max_states: int = 500_000) -> IntervalReport:
+def offset_interval_probe(group: MarkedGroup, letters: Sequence[str], n: int) -> IntervalReport:
     """Probe how the anagram offsets of pair-block words fill the subgroup.
 
     Builds (s1 s2)^M (s1 s3)^M ... over the letter pairs, measures the
     largest symmetric interval of the commutator subgroup attained by each
     growing prefix, and passes when the interval grows with the length.
     """
-    import math
-
     letters = tuple(letters)
     if len(letters) < 1:
         raise DegenerateInputError("letter set must be nonempty")
@@ -285,7 +350,7 @@ def offset_interval_probe(group: MarkedGroup, letters: Sequence[str], n: int,
     lengths = sorted({max(2, len(word) // 3), max(2, 2 * len(word) // 3), len(word)})
     radii = []
     for L in lengths:
-        offs = anagram_set(group, word[:L], max_states=max_states).offsets
+        offs = anagram_set(group, word[:L]).offsets
         r = 0
         while gen * (r + 1) in offs and -gen * (r + 1) in offs:
             r += 1

@@ -531,11 +531,10 @@ def cmd_selftest(args):
     checks["ball_vs_naive_cartan"] = _ball(ca, 3).entries == naive_ball(ca, 3)
 
     ok = True
-    for _ in range(25):
-        w = tuple(rng.choice(h1.labels) for _ in range(rng.randint(0, 7)))
-        dp = anagram_set(h1, w).offsets
-        bf = brute_force_anagram_offsets(h1, w) if w else {0}
-        ok &= dp == frozenset(bf)
+    for G in (h1, standard_group("h1z"), standard_group("h2")):
+        for _ in range(10):
+            w = tuple(rng.choice(G.labels) for _ in range(rng.randint(0, 7)))
+            ok &= anagram_set(G, w).offsets == brute_force_anagram_offsets(G, w)
     checks["anagram_dp_vs_bruteforce"] = ok
 
     ok = True

@@ -1,10 +1,10 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately avoid the optimized code paths: a plain FIFO breadth-first
-search for distances, permutation brute force for anagram offsets, a
-region-boundary walk for digitized rays, and a depth-first enumeration of
-Cartan words for the lower audit. The self-test suite and the test
-suite compare them against the production implementations.
+search for distances, permutation brute force and a one-lattice set DP for
+anagram offsets, a region-boundary walk for digitized rays, and a depth-first
+enumeration of Cartan words for the lower audit. The self-test suite and the
+test suite compare them against the production implementations.
 """
 
 from __future__ import annotations
@@ -53,6 +53,40 @@ def brute_force_anagram_offsets(group: MarkedGroup, word: Sequence[str]) -> set[
         assert g.a == base.a and g.b == base.b and diff % unit == 0
         offsets.add(diff // unit)
     return offsets
+
+
+def lattice_anagram_offsets(group: MarkedGroup, word: Sequence[str]) -> set[int]:
+    """Central offsets of all reorderings of ``word``, by one DP over letter counts.
+
+    The abelianized part of a partial product depends only on how many of
+    each letter were consumed, so the central increment of appending a
+    letter is a function of (counts, letter). One lattice over all the
+    letters, one set of central values per state, layer by layer: no
+    commuting blocks and no bitmasks. Polynomial in the word length for a
+    fixed alphabet, so it checks words too long for brute force.
+    """
+    unit = group.commutator_unit
+    if unit is None:
+        raise ValueError("needs a non-degenerate Heisenberg marked group")
+    word = tuple(word)
+    distinct = sorted(set(word))
+    counts = tuple(word.count(s) for s in distinct)
+    gens = [group.generator(s) for s in distinct]
+    states: dict[tuple[int, ...], set[int]] = {(0,) * len(distinct): {0}}
+    for _ in range(len(word)):
+        nxt: dict[tuple[int, ...], set[int]] = {}
+        for state, cs in states.items():
+            a_part = [sum(cnt * g.a[i] for cnt, g in zip(state, gens)) for i in range(group.params)]
+            for li, g in enumerate(gens):
+                if state[li] >= counts[li]:
+                    continue
+                inc = g.c + sum(p * q for p, q in zip(a_part, g.b))
+                key = state[:li] + (state[li] + 1,) + state[li + 1 :]
+                nxt.setdefault(key, set()).update(c + inc for c in cs)
+        states = nxt
+    (final_cs,) = states.values()
+    base = group.evaluate(word).c
+    return {(c - base) // unit for c in final_cs}
 
 
 def brute_force_digitized(direction: tuple[int, int], n: int) -> tuple[str, ...]:

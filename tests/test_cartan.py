@@ -227,6 +227,26 @@ def test_stabilizer_escape_rejects_negative_powers(powers):
         stabilizer_escape((1, 1), parse_word("x"), powers=powers, horizon=4)
 
 
+def test_single_power_scans_are_unchanged_by_the_length_cap():
+    rep = distinctness_witness((-1, -1), (1, 1), powers=(1,), horizon=8)
+    assert len(rep.h_word) == 10
+    assert rep.u_values == {1: [8, 6, 4, 4, 4, 4, 4, 4, 4]}
+    assert rep.v_values == {1: [8, 6, 4, 4, 4, 4, 2, 2, 2]}
+    assert (rep.u_min_value, rep.v_final_value, rep.v_certified) == (4, 2, False)
+    rep = stabilizer_escape((1, 1), parse_word("x"), powers=(1,), horizon=8)
+    assert (rep.m, rep.base_values, rep.translated_values, rep.complete) == (-1, {1: 4}, {1: 6}, True)
+
+
+@pytest.mark.parametrize("scan", [
+    lambda: distinctness_witness((-1, -1), (1, 1), powers=(11,), horizon=4),  # 11 * |h| = 110
+    lambda: stabilizer_escape((1, 1), parse_word("x"), powers=(13,), horizon=4),  # 1 + 8 * 13
+    lambda: stabilizer_escape((1, 1), parse_word("x"), powers=(0,), m_override=-10**12),
+])
+def test_scans_refuse_words_longer_than_the_audit_cap(scan):
+    with pytest.raises(BudgetExceededError, match="<= 100"):
+        scan()
+
+
 def test_perp_pairing_scaled():
     g = standard_group("cartan").evaluate(parse_word("x y x~ y~"))
     # B = (1/2, 1/2), u_perp = (-1, 1): pairing 0

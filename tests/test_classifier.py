@@ -1,6 +1,9 @@
 import itertools
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horocalc.classifier import (
     anagram_set,
@@ -16,9 +19,9 @@ from horocalc.errors import (
     GroupKindMismatchError,
     SpecNotGeodesicError,
 )
-from horocalc.groups import marked_heisenberg, parse_word, standard_group
+from horocalc.groups import commutator_z_exponent, marked_heisenberg, parse_word, standard_group
 from horocalc.horoboundary import DigitizedRay, PeriodicRay
-from horocalc.reference import brute_force_anagram_offsets
+from horocalc.reference import brute_force_anagram_offsets, lattice_anagram_offsets
 
 from conftest import random_word
 
@@ -166,8 +169,81 @@ def test_anagram_dp_equals_bruteforce(h1, rng):
     for _ in range(120):
         w = random_word(h1, rng, 8)
         dp = anagram_set(h1, w).offsets
-        bf = brute_force_anagram_offsets(h1, w) if w else {0}
-        assert dp == frozenset(bf)
+        assert dp == brute_force_anagram_offsets(h1, w)
+
+
+# custom markings: c != 0 letters in one H_1 block, and an H_2 marking whose
+# blocks {p, q} and {r, s} commute with each other
+ANAGRAM_GROUPS = {name: standard_group(name) for name in ("h1", "h1z", "h2")} | {
+    "custom_h1": marked_heisenberg(1, {"x": [1, 0, 1], "y": [1, 1, 0], "w": [0, 2, -1]}),
+    "custom_h2": marked_heisenberg(2, {"p": [1, 0, 0, 0, 1], "q": [0, 0, 1, 0, 0],
+                                       "r": [0, 1, 0, 0, -1], "s": [0, 0, 0, 2, 0]}),
+}
+
+
+def _anagram_words(max_size):
+    return st.sampled_from(sorted(ANAGRAM_GROUPS)).flatmap(lambda name: st.tuples(
+        st.just(ANAGRAM_GROUPS[name]),
+        st.lists(st.sampled_from(ANAGRAM_GROUPS[name].labels), max_size=max_size).map(tuple)))
+
+
+def test_custom_h2_blocks_commute():
+    G = ANAGRAM_GROUPS["custom_h2"]
+    assert all(commutator_z_exponent(G, G.generator(s), G.generator(t)) == 0
+               for s in ("p", "q", "p~", "q~") for t in ("r", "s", "r~", "s~"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_anagram_words(14))
+def test_anagram_equals_the_one_lattice_dp(case):
+    group, word = case
+    assert anagram_set(group, word).offsets == lattice_anagram_offsets(group, word)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_anagram_words(7))
+def test_anagram_equals_bruteforce_on_every_marking(case):
+    group, word = case
+    assert anagram_set(group, word).offsets == brute_force_anagram_offsets(group, word)
+
+
+def _cells_by_enumeration(group, block_words):
+    """Distinct central values over every sub-multiset of each block word."""
+    total = 0
+    for word in block_words:
+        letters = sorted(set(word))
+        for counts in itertools.product(*(range(word.count(s) + 1) for s in letters)):
+            sub = [s for s, n in zip(letters, counts) for _ in range(n)]
+            total += len({group.evaluate(p).c for p in set(itertools.permutations(sub))})
+    return total
+
+
+def test_anagram_budget_counts_block_cells_exactly():
+    G = standard_group("h2")
+    word = parse_word("x1 y1 x2 x1 y2~ y1 x2")
+    cells = _cells_by_enumeration(G, [("x1", "y1", "x1", "y1"), ("x2", "y2~", "x2")])
+    expected = anagram_set(G, word).offsets
+    assert anagram_set(G, word, max_states=cells).offsets == expected
+    with pytest.raises(BudgetExceededError):
+        anagram_set(G, word, max_states=cells - 1)
+
+
+def test_anagram_refuses_too_many_states_before_any_work():
+    word = tuple(itertools.islice(itertools.cycle(standard_group("h2").labels), 200))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            anagram_set(standard_group("h2"), word, max_states=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+def test_anagram_answers_words_one_lattice_could_not():
+    # one lattice over all eight letters holds over 500,000 cells here
+    G = standard_group("h2")
+    assert len(anagram_set(G, tuple(s for s in G.labels for _ in range(3))).offsets) == 37
 
 
 def test_anagram_offsets_bound(h1, rng):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from horocalc.cli import _parse_range, main
 from horocalc.errors import ParseError
 from horocalc.groups import full_coordinates, group_from_json, standard_group
-from horocalc.reference import naive_ball
+from horocalc.reference import brute_force_anagram_offsets, naive_ball
 
 
 def run(capsys, *argv):
@@ -259,6 +259,14 @@ def test_upper_audit_refuses_long_rays_before_any_work(capsys):
                  "--n-range=3313302,", "--state-cap", "2000"])
     assert code == 3 and time.perf_counter() - start < 0.5
     assert "n + |h| <= 100" in capsys.readouterr().err
+
+
+def test_power_scans_refuse_long_words_before_any_search(capsys):
+    # the largest power times |h| = 10 is 160, over the cap of 100
+    start = time.perf_counter()
+    code = main(["distinctness", "--u=-1,-1", "--v=1,1", "--powers", "13..16", "--horizon", "8"])
+    assert code == 3 and time.perf_counter() - start < 0.5
+    assert "power * |h| <= 100, got 160" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -515,6 +523,12 @@ FUZZED_ARGV = st.one_of(
     st.tuples(st.just("subfinsler"), st.just("--group=h1"),
               st.integers(-2, 4).map(lambda r: f"--fingerprint={r}")),
     _scan_argv("distinctness", ("u", _PAIR, (",",)), ("v", _PAIR, (",",)), *_SCAN_OPTIONS),
+    st.sampled_from(sorted(LENGTH_GROUPS)).flatmap(lambda name: st.tuples(
+        st.just("anagram"), st.just("--group=" + name),
+        st.lists(st.sampled_from(LENGTH_GROUPS[name].labels + ("q",)), max_size=10)
+        .map(lambda word: "--word=" + " ".join(word)),
+        _option("max-states", st.integers(-1, 300)),
+    ).map(lambda argv: tuple(arg for arg in argv if arg))),
     _scan_argv("stabilizer", ("u", _PAIR, (",",)),
                ("element", (st.lists(st.sampled_from(["x", "y", "x~", "y~", "q"]), max_size=4)
                             .map(" ".join), lambda text: True), ("x", "y~", " ")),
@@ -538,6 +552,11 @@ def test_fuzzed_arguments_never_end_in_a_traceback(argv):
             d = _naive_lengths(name)[LENGTH_GROUPS[name].evaluate(res["word"]).key()]
             expected = ("exact", d) if d <= budget else ("exceeds_budget", None)
             assert (res["status"], res["length"]) == expected, argv
+    if argv[0] == "anagram" and code == 0:
+        res = json.loads(out.getvalue())["result"]
+        if len(res["word"]) <= 6:
+            group = LENGTH_GROUPS[argv[1].removeprefix("--group=")]
+            assert set(res["offsets"]) == brute_force_anagram_offsets(group, res["word"]), argv
     if argv[0] == "ball" and code == 0:
         doc = json.loads(out.getvalue())
         assert doc["result"]["size"] <= doc["budgets"]["state_cap"], argv
