@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -506,6 +507,7 @@ def cmd_selftest(args):
     checks = {}
 
     h1 = standard_group("h1")
+    h2 = standard_group("h2")
     ca = standard_group("cartan")
 
     ok = True
@@ -528,10 +530,11 @@ def cmd_selftest(args):
     checks["cartan_winding_oracle"] = ok
 
     checks["ball_vs_naive_h1"] = _ball(h1, 4).entries == naive_ball(h1, 4)
+    checks["ball_vs_naive_h2"] = _ball(h2, 3).entries == naive_ball(h2, 3)
     checks["ball_vs_naive_cartan"] = _ball(ca, 3).entries == naive_ball(ca, 3)
 
     ok = True
-    for G in (h1, standard_group("h1z"), standard_group("h2")):
+    for G in (h1, standard_group("h1z"), h2):
         for _ in range(10):
             w = tuple(rng.choice(G.labels) for _ in range(rng.randint(0, 7)))
             ok &= anagram_set(G, w).offsets == brute_force_anagram_offsets(G, w)
@@ -549,7 +552,7 @@ def cmd_selftest(args):
     custom_h1 = marked_heisenberg(1, {"x": [1, 0, 1], "y": [1, 1, 0]})
     # with z^2 central, a layer's sets have holes that later layers fill
     z2_h1 = marked_heisenberg(1, {"x": [1, 0, 0], "y": [0, 1, 0], "z": [0, 0, 2]})
-    for G, r in ((h1, 8), (standard_group("h1z"), 6), (standard_group("h2"), 4), (custom_h1, 6),
+    for G, r in ((h1, 8), (standard_group("h1z"), 6), (h2, 4), (custom_h1, 6),
                  (z2_h1, 6)):
         k = G.params
         for key, d in naive_ball(G, r).items():
@@ -707,9 +710,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: parsing reads it and never changes it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"horocalc: budget exceeded: {exc}", file=sys.stderr)

@@ -20,6 +20,9 @@ The searches prune by the abelianized gauge, which lower-bounds word length
 admissible, so results are exact and "exceeds budget" is a proved claim
 whenever the frontiers were exhausted rather than capped.
 
+An H_k ball is read from the same central table, sphere by sphere; every
+other ball is a level-synchronous expansion.
+
 One state cap bounds every enumeration, in group elements held, checked
 after every level. The central table charges the elements of every layer up
 to the one a query scans, the identity ball its entries plus the backward
@@ -367,13 +370,17 @@ def gauge_lower_bound(group: MarkedGroup, g: GroupElement) -> int:
 def ball(group: MarkedGroup, radius: int, state_cap: int = DEFAULT_STATE_CAP) -> DistanceTable:
     """Complete exact ball of the given radius around the identity.
 
-    Level-synchronous expansion over canonical keys; the table content is
-    deterministic. The elements held are checked against ``state_cap`` after
-    every level, level 0 included, so this raises BudgetExceededError exactly
-    when the ball holds more than ``state_cap`` elements.
+    An H_k ball is read from the group's central table, sphere by sphere;
+    every other ball is a level-synchronous expansion over canonical keys.
+    The table content is deterministic. The elements held are checked
+    against ``state_cap`` after every level, level 0 included, so this
+    raises BudgetExceededError exactly when the ball holds more than
+    ``state_cap`` elements.
     """
     if radius < 0:
         raise DegenerateInputError("radius must be >= 0")
+    if group.kind == "heisenberg":
+        return _table_ball(group, radius, state_cap)
     steps = _step_fns(group)
     e = group.identity.key()
     entries: dict[Key, int] = {e: 0}
@@ -391,8 +398,50 @@ def ball(group: MarkedGroup, radius: int, state_cap: int = DEFAULT_STATE_CAP) ->
                     entries[k] = r
                     nxt.append(k)
         frontier = nxt
-    raise BudgetExceededError(
-        f"ball of radius {r} holds more than the state cap of {state_cap} elements")
+    raise _ball_over_cap(r, state_cap)
+
+
+def _ball_over_cap(radius: int, state_cap: int) -> BudgetExceededError:
+    return BudgetExceededError(
+        f"ball of radius {radius} holds more than the state cap of {state_cap} elements")
+
+
+def _table_ball(group: MarkedGroup, radius: int, state_cap: int) -> DistanceTable:
+    """``ball`` for an H_k marking, read from its central table.
+
+    The generating set is symmetric, so layer L holds layer L - 2, and an
+    element of length d < L lies in layer L - 1 or L - 2 (whichever has the
+    parity of d). Hence sphere L at an endpoint is its layer-L mask minus
+    the layer L - 1 and L - 2 masks there. Each sphere is counted before its
+    entries are built, and layer L is grown only once the ball up to L - 1
+    is within the cap.
+    """
+    table = _central_table(group)
+    layers = table.layers
+    entries: dict[Key, int] = {}
+    held = 0
+    for r in range(radius + 1):
+        while len(layers) <= r:
+            table._grow()
+        older = layers[max(r - 2, 0):r]
+        sphere = []
+        for p, (lo, mask) in layers[r].items():
+            for layer in older:
+                olo, omask = layer.get(p, (0, 0))
+                mask &= ~(omask << (olo - lo) if olo >= lo else omask >> (lo - olo))
+            if mask:
+                sphere.append((("h", *p), lo, mask))
+                held += mask.bit_count()
+        if held > state_cap:
+            raise _ball_over_cap(r, state_cap)
+        for head, c, mask in sphere:
+            c -= 1
+            while mask:  # c walks the set bits, lowest first
+                shift = (mask & -mask).bit_length()
+                c += shift
+                entries[(*head, c)] = r
+                mask >>= shift
+    return DistanceTable(group.group_hash, radius, entries)
 
 
 @dataclass

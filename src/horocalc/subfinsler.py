@@ -234,8 +234,14 @@ def class_fingerprint(group: MarkedGroup, polygon: SymmetricPolygon,
     """Values of the class on the radius-ball, in canonical key order."""
     if group.abelian_rank != 2:
         raise DegenerateInputError("windowed comparison supports rank-2 lattices")
-    return tuple((key, horofn_eval(polygon, cls, key[1:3]))
-                 for key in sorted(ball(group, radius).entries))
+    keys = sorted(ball(group, radius).entries)
+    values = _endpoint_values(polygon, cls, keys)
+    return tuple((key, values[key[1:3]]) for key in keys)
+
+
+def _endpoint_values(polygon: SymmetricPolygon, cls: HorofnClass, keys) -> dict[tuple, Fraction]:
+    """The class at each abelianized endpoint key[1:3] of the keys, evaluated once: it ignores c."""
+    return {p: horofn_eval(polygon, cls, p) for p in {key[1:3] for key in keys}}
 
 
 WINDOW_MAX_ENTRIES = 4_000_000  # state cap on the balls behind one comparison window
@@ -279,11 +285,10 @@ def discrete_vs_continuous(
     window, elems = horofn_window(group, word, radius, WINDOW_MAX_ENTRIES)
     diffs = [Fraction(0)] * (radius + 1)
     dist_table = ball(group, radius, WINDOW_MAX_ENTRIES)
-    for key, elem in elems.items():
-        v = (elem.a[0], elem.b[0])
-        cont = horofn_eval(polygon, cls, v)
+    conts = _endpoint_values(polygon, cls, elems)
+    for key in elems:
         d = dist_table.entries[key]
-        gap = abs(Fraction(window.values[key]) - cont)
+        gap = abs(window.values[key] - conts[key[1:3]])
         for rr in range(d, radius + 1):
             if gap > diffs[rr]:
                 diffs[rr] = gap

@@ -1,15 +1,20 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import horocalc
 from horocalc.cli import _parse_range, main
 from horocalc.errors import ParseError
 from horocalc.groups import full_coordinates, group_from_json, standard_group
@@ -371,6 +376,46 @@ def test_usage_errors_are_parse_errors_and_help_exits_0(capsys):
         assert exc.value.code == 0
 
 
+# Commands that share option names and set them to other values or leave them at their
+# defaults, so that a value leaking from one call into the next would change a report.
+SEQUENCE_ARGV = [
+    ("cartan-audit", "--audit", "upper", "--direction", "1,1", "--n-range", "2..3",
+     "--state-cap", "5000", "--seed", "7"),
+    ("cartan-audit", "--direction", "1,2", "--n", "3", "--delta", "2"),
+    ("cartan-audit", "--direction", "1,1", "--n", "2"),
+    ("dist", "--group", "h2", "--word", "x1 y1", "--budget", "5", "--state-cap", "10"),
+    ("dist", "--group", "h1", "--word", "x y x~ y~"),
+    ("ball", "--group", "h1", "--radius", "3", "--state-cap", "10"),
+    ("ball", "--group", "h1", "--radius", "2"),
+    ("subfinsler", "--fingerprint", "1", "--class", "mixed:2,1/2,ge", "--n", "2"),
+    ("subfinsler", "--fingerprint", "1"),
+    ("dist", "--group", "h1", "--word", "x", "--budget=--"),
+    ("--version",),
+]
+
+
+def _main_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_calls_in_one_process_report_as_fresh_processes_do():
+    env = dict(os.environ, PYTHONPATH=str(Path(horocalc.__file__).parents[1]))
+    fresh = {}
+    for argv in SEQUENCE_ARGV:
+        proc = subprocess.run([sys.executable, "-m", "horocalc.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        fresh[argv] = (proc.returncode, proc.stdout, proc.stderr)
+    assert {code for code, _, _ in fresh.values()} == {0, 3, 4}
+    for argv in SEQUENCE_ARGV + SEQUENCE_ARGV[::-1]:
+        assert _main_output(argv) == fresh[argv], argv
+
+
 BAD_INPUTS = [
     ("ray", "--group", "h1", "--ray", '{"digitized":[1]}'),
     ("ray", "--group", "h1", "--ray", '{"digitized":["a",1]}'),
@@ -412,6 +457,11 @@ _ray_doc = st.one_of(
         optional={"prefix": _json_value})}),
     _json_value,
 ).map(json.dumps)
+
+_VALID_RAYS = st.sampled_from(['{"digitized":[1,2]}', '{"digitized":[-3,1]}',
+                               '{"periodic":{"block":"x y"}}',
+                               '{"periodic":{"prefix":"y~","block":"x"}}'])
+_ray_or_valid = st.one_of(_VALID_RAYS, _ray_doc)
 
 LENGTH_GROUPS = {name: standard_group(name) for name in ("h1", "h1z", "h2")}
 
@@ -514,6 +564,23 @@ FUZZED_ARGV = st.one_of(
               st.just('--ray1={"digitized":[1,2]}'), st.just('--ray2={"periodic":{"block":"x y"}}'),
               st.integers(-3, 4).map(lambda n: f"--n-max={n}"),
               st.integers(-3, 8).map(lambda m: f"--m-max={m}")),
+    st.tuples(st.just("compare-rays"), st.sampled_from(["--group=z2", "--group=h1"]),
+              _ray_or_valid.map(lambda text: "--ray1=" + text),
+              _ray_or_valid.map(lambda text: "--ray2=" + text),
+              st.sampled_from(["--criterion=switch1b", "--criterion=switch2b"]),
+              st.just("--n-max=2"), st.just("--m-max=5")),
+    # horizons of at most 6 keep every scan short
+    st.tuples(st.sampled_from(["--group=z2", "--group=h1", "--group=cartan"]), _scan_argv(
+        "busemann", ("ray", (_VALID_RAYS, lambda text: True), ('{"digitized":', '{"periodic":')),
+        ("element", (st.lists(st.sampled_from(["x", "y", "x~", "y~"]), max_size=4).map(" ".join),
+                     lambda text: True), ("x", "y~", " ")),
+        ("horizon", (st.integers(-2, 6).map(str), _not_above(6)), ())))
+    .map(lambda argv: argv[1][:1] + argv[:1] + argv[1][1:]),
+    # n + delta <= 10 keeps every lower audit short
+    _scan_argv("cartan-audit", ("direction", _PAIR, (",",)),
+               ("n", (st.integers(-2, 6).map(str), _not_above(6)), ()),
+               ("delta", (st.integers(-2, 4).map(str), _not_above(4)), ()))
+    .map(lambda argv: argv[:1] + ("--audit=lower",) + argv[1:]),
     _length_argv("dist", "budget"),
     _length_argv("geodesic-check"),
     # the state cap, never above 5000, bounds every ball whatever the radius

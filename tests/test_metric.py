@@ -121,12 +121,31 @@ def test_ball_entry_has_closer_neighbor(h1):
         assert any(table.entries.get((g * s).key()) == d - 1 for s in gens)
 
 
+# Largest radius at which each H_k ball is checked against the naive BFS.
+TABLE_BALL_RADII = {"h1": 10, "h1z": 7, "h2": 4, "h1-custom": 7, "h1-z2": 8, "h2-custom": 4}
+
+
+@lru_cache(maxsize=None)
+def _naive_table_ball(name):
+    return naive_ball(KERNEL_GROUPS[name], TABLE_BALL_RADII[name])
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(TABLE_BALL_RADII)), data=st.data())
+def test_table_balls_match_naive(name, data):
+    radius = data.draw(st.integers(0, TABLE_BALL_RADII[name]))
+    expected = {k: d for k, d in _naive_table_ball(name).items() if d <= radius}
+    table = ball(KERNEL_GROUPS[name], radius)
+    assert table.entries == expected
+    assert table.sphere_sizes() == [list(expected.values()).count(d) for d in range(radius + 1)]
+
+
 def test_ball_budget_error(h1):
     with pytest.raises(BudgetExceededError):
         ball(h1, 6, state_cap=50)
 
 
-@pytest.mark.parametrize("name", ["z2", "h1", "h2", "cartan"])
+@pytest.mark.parametrize("name", ["z2", "h1", "h1z", "h2", "h2-custom", "cartan"])
 def test_ball_raises_iff_it_holds_more_than_the_state_cap(name):
     group = KERNEL_GROUPS[name]
     for r in range(5):
@@ -263,25 +282,20 @@ def test_certified_words_are_geodesic(h1, rng):
         assert is_geodesic_word(h1, word)
 
 
-def _key_ball(group, radius):
-    return ball(group, radius).entries
-
-
-# Exact lengths for the central table: naive BFS at small radii, the key-based ball beyond.
+# Exact lengths for the central table, by the naive BFS, which shares no code with it.
 TABLE_ORACLES = {
-    "h1": ("h1", 8, naive_ball), "h1 r14": ("h1", 14, _key_ball),
-    "h1z": ("h1z", 6, naive_ball), "h1z r10": ("h1z", 10, _key_ball),
-    "h2": ("h2", 4, naive_ball), "h1-custom": ("h1-custom", 6, naive_ball),
-    "h1-z2": ("h1-z2", 6, naive_ball), "h2-custom": ("h2-custom", 5, naive_ball),
+    "h1": ("h1", 8), "h1 r14": ("h1", 14), "h1z": ("h1z", 6), "h1z r10": ("h1z", 10),
+    "h2": ("h2", 4), "h1-custom": ("h1-custom", 6), "h1-z2": ("h1-z2", 6),
+    "h2-custom": ("h2-custom", 5),
 }
 
 
 @lru_cache(maxsize=None)
 def _table_oracle(name):
     """(group, radius, key -> length for every element within radius)."""
-    group_name, radius, build = TABLE_ORACLES[name]
+    group_name, radius = TABLE_ORACLES[name]
     group = KERNEL_GROUPS[group_name]
-    return group, radius, build(group, radius)
+    return group, radius, naive_ball(group, radius)
 
 
 @settings(max_examples=300, deadline=None)
@@ -303,14 +317,24 @@ def test_table_lengths_match_exact_balls(name, data):
 
 
 def test_a_capped_table_query_does_not_depend_on_earlier_queries():
-    # a marking no other test uses, so its table starts empty here
+    # markings no other test uses, so their tables start empty here; the twin
+    # differs only in its labels
     group = marked_heisenberg(1, {"p": [1, 0, 3], "q": [0, 1, -2]})
-    g = group.evaluate(parse_word("p q p~ q~ p q"))
-    cold = [word_length(group, g, budget=8, state_cap=cap) for cap in (10, 200)]
-    warm_up = word_length(group, g, budget=8)
+    twin = marked_heisenberg(1, {"s": [1, 0, 3], "t": [0, 1, -2]})
+
+    def capped(group, word):
+        g = group.evaluate(parse_word(word))
+        return [word_length(group, g, budget=8, state_cap=cap) for cap in (10, 200)]
+
+    cold = capped(group, "p q p~ q~ p q")
+    warm_up = word_length(group, group.evaluate(parse_word("p q p~ q~ p q")), budget=8)
     assert warm_up.exact and warm_up.expanded == 0
-    assert [word_length(group, g, budget=8, state_cap=cap) for cap in (10, 200)] == cold
+    assert capped(group, "p q p~ q~ p q") == cold
     assert cold[0].expanded > 0  # 10 elements do not reach the answer: the search ran
+    # a ball grows the twin's table past every layer the queries scan
+    ball(twin, 10)
+    assert len(metric._central_table(twin).layers) == 11
+    assert capped(twin, "s t s~ t~ s t") == cold
 
 
 def test_the_table_charges_every_element_of_the_layers_it_scans(h1):

@@ -16,6 +16,7 @@ from horocalc.subfinsler import (
     omega,
     seam_scan,
 )
+from horocalc.reference import naive_ball
 
 
 def test_omega_values(rng):
@@ -127,6 +128,20 @@ def test_fingerprints_separate_classes(h1):
     assert class_fingerprint(h1, poly, Vertical(), 2) == class_fingerprint(
         h1, poly, Vertical(), 2
     )
+
+
+HEXAGON = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+
+
+@pytest.mark.parametrize("cls", [Vertical(), NonVertical(1, Fraction(1, 3)),
+                                 Mixed(2, Fraction(1, 2), "le"), Mixed(2, Fraction(1, 2), "ge")],
+                         ids=repr)
+@pytest.mark.parametrize("hexagon", [False, True], ids=["auto", "hexagon"])
+def test_a_fingerprint_is_the_class_at_every_element_of_the_ball(h1, cls, hexagon):
+    poly = SymmetricPolygon.from_points(HEXAGON) if hexagon else auto_polygon(h1)
+    # each element evaluated on its own, central coordinate included
+    expected = tuple((key, horofn_eval(poly, cls, key[1:])) for key in sorted(naive_ball(h1, 5)))
+    assert class_fingerprint(h1, poly, cls, 5) == expected
 
 
 def test_discrete_vs_continuous_central(h1):
