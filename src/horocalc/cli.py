@@ -169,23 +169,33 @@ def write_ball_jsonl(table: DistanceTable, path: Path) -> None:
 
 def read_ball_jsonl(path: Path, group_hash: str) -> DistanceTable | None:
     """Load a cached ball; None when missing, unreadable, for another group,
-    or when its entry count or digest does not match its header."""
+    when its entry count or digest does not match its header, or when a
+    record's key is not a kind tag followed by ints or its distance is not
+    an int in 0..radius (bools are not ints here). The records are parsed
+    as one JSON array, which costs less than a parse per line."""
     try:
         with open(path) as fh:
             header = json.loads(fh.readline())
-            if header.get("group_hash") != group_hash or header.get("kind") != "ball-cache":
+            radius = header["radius"]
+            if (header.get("group_hash") != group_hash or header.get("kind") != "ball-cache"
+                    or type(radius) is not int):
                 return None
-            digest = hashlib.sha256()
-            entries = {}
-            for line in fh:
-                digest.update(line.encode())
-                rec = json.loads(line)
-                entries[tuple(rec["key"])] = rec["dist"]
-            if (header.get("count") != len(entries) or header.get("digest") != digest.hexdigest()
-                    or not isinstance(header["radius"], int)):
+            body = fh.read()
+        if header.get("digest") != hashlib.sha256(body.encode()).hexdigest():
+            return None
+        entries = {}
+        for rec in json.loads("[" + ",".join(body.splitlines()) + "]"):
+            key, d = rec["key"], rec["dist"]
+            if (type(d) is not int or not 0 <= d <= radius or type(key) is not list
+                    or not key or type(key[0]) is not str
+                    or not all(type(c) is int for c in key[1:])):
                 return None
-            return DistanceTable(group_hash, header["radius"], entries)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, AttributeError):
+            entries[tuple(key)] = d
+        if header.get("count") != len(entries):
+            return None
+        return DistanceTable(group_hash, radius, entries)
+    # ValueError covers malformed JSON and text that is not UTF-8
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return None
 
 

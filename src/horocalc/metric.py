@@ -6,9 +6,10 @@ A length query is answered by the first of three tiers that applies:
    lazily). Layer L holds, for each abelianized endpoint (a, b), the exact
    set of central values c that words of length exactly L reach; the length
    of (a, b, c) is the first layer from the gauge bound up that holds c.
-2. Cartan: the identity ball (``_IdentityBall``, one per marked group, built
-   on its first query): the largest complete ball around the identity with
-   at most ``ORACLE_BALL_ENTRIES`` elements. A target in it is a lookup;
+2. Cartan: the identity ball (``_IdentityBall``, one per marked group, taken
+   on its first query from the first levels of the group's ball store): the
+   largest complete ball around the identity with at most
+   ``ORACLE_BALL_ENTRIES`` elements. A target in it is a lookup;
    otherwise a backward search from the target stops at the first level
    that meets the ball. If its states come to outnumber the ball's, the
    bidirectional search takes over with the ball as its forward side.
@@ -20,8 +21,11 @@ The searches prune by the abelianized gauge, which lower-bounds word length
 admissible, so results are exact and "exceeds budget" is a proved claim
 whenever the frontiers were exhausted rather than capped.
 
-An H_k ball is read from the same central table, sphere by sphere; every
-other ball is a level-synchronous expansion.
+An H_k ball is read from the same central table, sphere by sphere. Every
+other ball is read from the group's ball store (``_BallStore``, one per
+marked abelian or Cartan group): a level-synchronous expansion grown one
+level at a time, only as far as a query asks. The Cartan identity ball is
+its first R levels.
 
 One state cap bounds every enumeration, in group elements held, checked
 after every level. The central table charges the elements of every layer up
@@ -30,7 +34,9 @@ states held, the bidirectional search its states, a ball its entries. The
 tiers' charges do not depend on what ran before, and a query a tier cannot
 answer within the cap runs the plain bidirectional search, so a capped answer
 never depends on earlier queries. A length query over the cap is
-``inconclusive``; a ball over it raises BudgetExceededError.
+``inconclusive``; a ball over it raises BudgetExceededError. The central
+table and the ball store keep what they grew for the life of the process:
+the largest ball asked for, plus the level that overflowed the cap.
 
 Searches run on canonical element keys (``GroupElement.key()`` tuples), not
 on element objects: each state is its own hash key, and right multiplication
@@ -40,8 +46,10 @@ kind the abelianization is ``key[1:1 + abelian_rank]``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from operator import add, mul, sub
 from typing import Callable, Iterable, Sequence
 
@@ -275,13 +283,56 @@ def _central_table(group: MarkedGroup) -> _CentralTable:
     return _CentralTable(group)
 
 
+class _BallStore:
+    """The exact ball around the identity of one abelian or Cartan marking, grown on demand.
+
+    ``dist`` maps each element to its length and is filled level by level, so
+    the ball of radius r is its first ``counts[r]`` items (``counts`` is
+    cumulative); ``sphere`` lists the last level. A level is grown only when a
+    query asks for it, and what was grown is kept for the life of the process.
+    """
+
+    def __init__(self, group: MarkedGroup):
+        self.steps = _step_fns(group)
+        e = group.identity.key()
+        self.dist: dict[Key, int] = {e: 0}
+        self.counts = [1]
+        self.sphere: list[Key] = [e]
+
+    def grow(self):
+        dist, r = self.dist, len(self.counts)
+        nxt: list[Key] = []
+        for g in self.sphere:
+            for step in self.steps:
+                k = step(g)
+                if k not in dist:
+                    dist[k] = r
+                    nxt.append(k)
+        self.sphere = nxt
+        self.counts.append(len(dist))
+
+    def prefix(self, radius: int) -> dict[Key, int]:
+        """A fresh dict of the ball of the given radius, which must have been grown."""
+        if radius == len(self.counts) - 1:
+            return self.dist.copy()
+        return dict(islice(self.dist.items(), self.counts[radius]))
+
+
+@lru_cache(maxsize=64)
+def _ball_store(group: MarkedGroup) -> _BallStore:
+    return _BallStore(group)
+
+
 class _IdentityBall:
     """The largest complete ball around the identity with at most ``max_entries`` elements.
 
-    One per marked Cartan group, built once on its first length query. A
-    target in the ball is a lookup. For a target outside it, |t| > R (the
-    radius) and a level-synchronous search runs backward from t: a state k
-    at depth j satisfies |t| <= j + |k|, and a geodesic of length L > R
+    One per marked Cartan group, built on its first length query: R is the
+    largest radius whose ball in the group's store has at most
+    ``max_entries`` elements, and ``dist`` is a copy of those first R levels,
+    so R, the entries and the charge do not depend on how far ``ball`` has
+    grown the store. A target in the ball is a lookup. For a target outside
+    it, |t| > R and a level-synchronous search runs backward from t: a state
+    k at depth j satisfies |t| <= j + |k|, and a geodesic of length L > R
     passes a state of length R at depth L - R and none of length <= R
     before. So the first level that meets the ball is L - R, and no meeting
     up to depth j proves |t| > j + R. States outside the ball are pruned by
@@ -293,23 +344,12 @@ class _IdentityBall:
         self.group = group
         self.steps = _step_fns(group)
         self.stop = 1 + group.abelian_rank
-        e = group.identity.key()
-        dist: dict[Key, int] = {e: 0}
-        frontier: list[Key] = [e]
-        radius = 0
-        while frontier:
-            nxt: dict[Key, int] = {}
-            for g in frontier:
-                for step in self.steps:
-                    k = step(g)
-                    if k not in dist:
-                        nxt[k] = radius + 1
-            if len(dist) + len(nxt) > max_entries:
-                break
-            dist.update(nxt)
-            frontier = list(nxt)
-            radius += 1
-        self.dist, self.radius, self.sphere = dist, radius, frontier
+        store = _ball_store(group)
+        while store.counts[-1] <= max_entries:
+            store.grow()
+        radius = bisect_right(store.counts, max_entries) - 1
+        self.dist, self.radius = store.prefix(radius), radius
+        self.sphere = [k for k, d in self.dist.items() if d == radius]
 
     def search(self, start: Key, lower: int, budget: int, state_cap: int) -> LengthResult | None:
         """The length of ``start`` if <= budget, else a proof that it exceeds it.
@@ -371,34 +411,24 @@ def ball(group: MarkedGroup, radius: int, state_cap: int = DEFAULT_STATE_CAP) ->
     """Complete exact ball of the given radius around the identity.
 
     An H_k ball is read from the group's central table, sphere by sphere;
-    every other ball is a level-synchronous expansion over canonical keys.
-    The table content is deterministic. The elements held are checked
-    against ``state_cap`` after every level, level 0 included, so this
-    raises BudgetExceededError exactly when the ball holds more than
-    ``state_cap`` elements.
+    every other ball is a prefix of the group's ball store. The table
+    content is deterministic, and the returned entries are the caller's own.
+    The elements held are checked against ``state_cap`` after every level,
+    level 0 included, and a level is grown only once the ball below it is
+    within the cap, so this raises BudgetExceededError exactly when the ball
+    holds more than ``state_cap`` elements, whatever ran before.
     """
     if radius < 0:
         raise DegenerateInputError("radius must be >= 0")
     if group.kind == "heisenberg":
         return _table_ball(group, radius, state_cap)
-    steps = _step_fns(group)
-    e = group.identity.key()
-    entries: dict[Key, int] = {e: 0}
-    frontier: list[Key] = [e]
-    r = 0
-    while len(entries) <= state_cap:
-        if r == radius:
-            return DistanceTable(group.group_hash, radius, entries)
-        r += 1
-        nxt: list[Key] = []
-        for g in frontier:
-            for step in steps:
-                k = step(g)
-                if k not in entries:
-                    entries[k] = r
-                    nxt.append(k)
-        frontier = nxt
-    raise _ball_over_cap(r, state_cap)
+    store = _ball_store(group)
+    for level in range(radius + 1):
+        if level == len(store.counts):
+            store.grow()
+        if store.counts[level] > state_cap:
+            raise _ball_over_cap(level, state_cap)
+    return DistanceTable(group.group_hash, radius, store.prefix(radius))
 
 
 def _ball_over_cap(radius: int, state_cap: int) -> BudgetExceededError:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -107,7 +108,7 @@ def test_ball_cache_roundtrip(tmp_path, capsys):
     assert doc["result"]["cache"] == "miss"
 
 
-@pytest.mark.parametrize("damage", ["cut", "no_count", "edited_dist"])
+@pytest.mark.parametrize("damage", ["cut", "no_count", "edited_dist", "not_utf8"])
 def test_ball_cache_damaged_file_is_recomputed(tmp_path, capsys, damage):
     argv = ("ball", "--group", "h1", "--radius", "6", "--cache", str(tmp_path))
     assert run_json(capsys, *argv)["result"]["cache"] == "miss"
@@ -119,12 +120,14 @@ def test_ball_cache_damaged_file_is_recomputed(tmp_path, capsys, damage):
         header = json.loads(lines[0])
         del header["count"]
         lines[0] = json.dumps(header) + "\n"
-    else:
+    elif damage == "edited_dist":
         # same count, same line structure: only the digest can tell
         rec = json.loads(lines[1])
         rec["dist"] = 7
         lines[1] = json.dumps(rec, sort_keys=True) + "\n"
     path.write_text("".join(lines))
+    if damage == "not_utf8":
+        path.write_bytes(path.read_bytes().replace(b"{", b"\xff", 1))
     naive = naive_ball(standard_group("h1"), 6)
     spheres = [sum(1 for d in naive.values() if d == r) for r in range(7)]
     res = run_json(capsys, *argv)["result"]
@@ -134,6 +137,24 @@ def test_ball_cache_damaged_file_is_recomputed(tmp_path, capsys, damage):
     # the rewritten file is trusted again
     res = run_json(capsys, *argv)["result"]
     assert (res["cache"], res["size"], res["sphere_sizes"]) == ("hit", 593, spheres)
+
+
+@pytest.mark.parametrize("field, value", [("dist", "x"), ("dist", True), ("dist", 99),
+                                          ("key", "nested")])
+def test_ball_cache_records_of_the_wrong_type_are_recomputed(tmp_path, capsys, field, value):
+    argv = ("ball", "--group", "h1", "--radius", "2", "--cache", str(tmp_path))
+    assert run_json(capsys, *argv)["result"]["cache"] == "miss"
+    (path,) = tmp_path.iterdir()
+    header, *records = path.read_text().splitlines(keepends=True)
+    rec = json.loads(records[0])
+    rec[field] = [rec["key"]] if value == "nested" else value
+    records[0] = json.dumps(rec, sort_keys=True) + "\n"
+    # count and digest match the edited records: only the record types can tell
+    header = json.loads(header)
+    header["digest"] = hashlib.sha256("".join(records).encode()).hexdigest()
+    path.write_text(json.dumps(header, sort_keys=True) + "\n" + "".join(records))
+    res = run_json(capsys, *argv)["result"]
+    assert (res["cache"], res["size"]) == ("invalid", len(naive_ball(standard_group("h1"), 2)))
 
 
 def test_ball_jsonl_export(tmp_path, capsys):
@@ -377,7 +398,8 @@ def test_usage_errors_are_parse_errors_and_help_exits_0(capsys):
 
 
 # Commands that share option names and set them to other values or leave them at their
-# defaults, so that a value leaking from one call into the next would change a report.
+# defaults, so that a value leaking from one call into the next would change a report;
+# and Cartan balls below, at and over a cap after one that grows the group's ball store.
 SEQUENCE_ARGV = [
     ("cartan-audit", "--audit", "upper", "--direction", "1,1", "--n-range", "2..3",
      "--state-cap", "5000", "--seed", "7"),
@@ -387,6 +409,9 @@ SEQUENCE_ARGV = [
     ("dist", "--group", "h1", "--word", "x y x~ y~"),
     ("ball", "--group", "h1", "--radius", "3", "--state-cap", "10"),
     ("ball", "--group", "h1", "--radius", "2"),
+    ("ball", "--group", "cartan", "--radius", "9"),
+    ("ball", "--group", "cartan", "--radius", "6"),
+    ("ball", "--group", "cartan", "--radius", "8", "--state-cap", "5000"),
     ("subfinsler", "--fingerprint", "1", "--class", "mixed:2,1/2,ge", "--n", "2"),
     ("subfinsler", "--fingerprint", "1"),
     ("dist", "--group", "h1", "--word", "x", "--budget=--"),
@@ -539,11 +564,36 @@ def _naive_lengths(name):
     return naive_ball(LENGTH_GROUPS[name], 6)
 
 
-FUZZED_ARGV = st.one_of(
-    st.tuples(st.just("ray"), st.sampled_from(["--group=h1", "--group=z2", "--group=cartan"]),
-              st.one_of(_ray_doc, _fuzz_text('{"digitized":', '{"periodic":')).map(
-                  lambda text: "--ray=" + text),
-              st.just("--length=3")),
+# Radii up to which a fuzzed ball report is checked against the naive ball.
+NAIVE_BALL_RADII = {"z1": 30, "z2": 12, "h1": 7, "h2": 3, "cartan": 6}
+
+
+@lru_cache(maxsize=None)
+def _naive_spheres(name):
+    radius = NAIVE_BALL_RADII[name]
+    naive = naive_ball(standard_group(name), radius)
+    return [sum(1 for d in naive.values() if d == r) for r in range(radius + 1)]
+
+
+_RAY_ARGV = st.tuples(
+    st.just("ray"), st.sampled_from(["--group=h1", "--group=z2", "--group=cartan"]),
+    st.one_of(_ray_doc, _fuzz_text('{"digitized":', '{"periodic":')).map(
+        lambda text: "--ray=" + text),
+    st.just("--length=3"))
+# horizons of at most 6 keep every scan short
+_BUSEMANN_ARGV = st.tuples(
+    st.sampled_from(["--group=z2", "--group=h1", "--group=cartan"]),
+    _scan_argv("busemann",
+               ("ray", (_VALID_RAYS, lambda text: True), ('{"digitized":', '{"periodic":')),
+               ("element", (st.lists(st.sampled_from(["x", "y", "x~", "y~"]), max_size=4)
+                            .map(" ".join), lambda text: True), ("x", "y~", " ")),
+               ("horizon", (st.integers(-2, 6).map(str), _not_above(6)), ())),
+).map(lambda argv: argv[1][:1] + argv[:1] + argv[1][1:])
+
+# The kind of argv is drawn first, uniformly from this list, so ray and busemann
+# (listed twice) are not left to the few examples a plain one_of gives them.
+FUZZED_ARGV = st.sampled_from([
+    *(_RAY_ARGV, _BUSEMANN_ARGV) * 2,
     st.tuples(st.just("subfinsler"), st.just("--group=h1"),
               st.one_of(st.just("auto"), _json_value.map(json.dumps), _fuzz_text("1/2", "0.5"))
               .map(lambda text: "--polygon=" + text),
@@ -569,13 +619,6 @@ FUZZED_ARGV = st.one_of(
               _ray_or_valid.map(lambda text: "--ray2=" + text),
               st.sampled_from(["--criterion=switch1b", "--criterion=switch2b"]),
               st.just("--n-max=2"), st.just("--m-max=5")),
-    # horizons of at most 6 keep every scan short
-    st.tuples(st.sampled_from(["--group=z2", "--group=h1", "--group=cartan"]), _scan_argv(
-        "busemann", ("ray", (_VALID_RAYS, lambda text: True), ('{"digitized":', '{"periodic":')),
-        ("element", (st.lists(st.sampled_from(["x", "y", "x~", "y~"]), max_size=4).map(" ".join),
-                     lambda text: True), ("x", "y~", " ")),
-        ("horizon", (st.integers(-2, 6).map(str), _not_above(6)), ())))
-    .map(lambda argv: argv[1][:1] + argv[:1] + argv[1][1:]),
     # n + delta <= 10 keeps every lower audit short
     _scan_argv("cartan-audit", ("direction", _PAIR, (",",)),
                ("n", (st.integers(-2, 6).map(str), _not_above(6)), ()),
@@ -600,7 +643,7 @@ FUZZED_ARGV = st.one_of(
                ("element", (st.lists(st.sampled_from(["x", "y", "x~", "y~", "q"]), max_size=4)
                             .map(" ".join), lambda text: True), ("x", "y~", " ")),
                *_SCAN_OPTIONS),
-)
+]).flatmap(lambda strategy: strategy)
 
 
 @settings(max_examples=150, deadline=None)
@@ -626,7 +669,12 @@ def test_fuzzed_arguments_never_end_in_a_traceback(argv):
             assert set(res["offsets"]) == brute_force_anagram_offsets(group, res["word"]), argv
     if argv[0] == "ball" and code == 0:
         doc = json.loads(out.getvalue())
-        assert doc["result"]["size"] <= doc["budgets"]["state_cap"], argv
+        res = doc["result"]
+        assert res["size"] <= doc["budgets"]["state_cap"], argv
+        name = argv[1].removeprefix("--group=")
+        if res["radius"] <= NAIVE_BALL_RADII[name]:
+            spheres = _naive_spheres(name)[: res["radius"] + 1]
+            assert (res["size"], res["sphere_sizes"]) == (sum(spheres), spheres), argv
 
 
 @st.composite

@@ -10,6 +10,7 @@ from horocalc.groups import (
     AbelianElement,
     CartanElement,
     HeisenbergElement,
+    marked_abelian,
     marked_cartan,
     marked_heisenberg,
     parse_word,
@@ -61,6 +62,7 @@ KERNEL_GROUPS = {
 KERNEL_GROUPS["h1-custom"] = marked_heisenberg(1, {"p": [1, 1, 2], "q": [-1, 2, 0]})
 KERNEL_GROUPS["h2-custom"] = marked_heisenberg(2, {"p": [1, 0, 2, -1, 3], "q": [0, 1, 1, 1, -2]})
 KERNEL_GROUPS["cartan-custom"] = marked_cartan({"x": "x y", "y": "y"})
+KERNEL_GROUPS["z2-hex"] = marked_abelian(2, {"a": [1, 0], "b": [1, 1], "c": [0, 1]})
 # z^2 central: some central values missing at an endpoint in layer L first appear later,
 # so an interval in place of the exact set would give wrong lengths
 KERNEL_GROUPS["h1-z2"] = marked_heisenberg(1, {"x": [1, 0, 0], "y": [0, 1, 0], "z": [0, 0, 2]})
@@ -153,6 +155,53 @@ def test_ball_raises_iff_it_holds_more_than_the_state_cap(name):
         assert len(ball(group, r, state_cap=size)) == size
         with pytest.raises(BudgetExceededError):
             ball(group, r, state_cap=size - 1)
+
+
+# Largest radius of the ball-store calls below on each marking, each checked against
+# the naive ball.
+STORE_RADII = {"z2": 9, "z2-hex": 8, "cartan": 7, "cartan-custom": 6}
+
+
+@lru_cache(maxsize=None)
+def _naive_store_ball(name):
+    naive = naive_ball(KERNEL_GROUPS[name], STORE_RADII[name])
+    counts = [sum(1 for d in naive.values() if d <= r) for r in range(STORE_RADII[name] + 1)]
+    return naive, counts
+
+
+def _cold_over_cap_message(counts, state_cap):
+    level = next(r for r, count in enumerate(counts) if count > state_cap)
+    return f"ball of radius {level} holds more than the state cap of {state_cap} elements"
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(STORE_RADII)), data=st.data())
+def test_the_ball_store_gives_the_same_balls_in_any_order(name, data):
+    group = KERNEL_GROUPS[name]
+    naive, counts = _naive_store_ball(name)
+    near = st.sampled_from(counts).flatmap(lambda count: st.sampled_from([count - 1, count]))
+    calls = data.draw(st.lists(st.tuples(st.integers(0, STORE_RADII[name]),
+                                         st.one_of(near, st.integers(0, counts[-1] + 1))),
+                               min_size=1, max_size=6))
+    metric._ball_store.cache_clear()  # every sequence starts from an empty store
+    for radius, cap in calls:
+        if counts[radius] > cap:
+            with pytest.raises(BudgetExceededError) as err:
+                ball(group, radius, state_cap=cap)
+            assert str(err.value) == _cold_over_cap_message(counts, cap)
+            continue
+        expected = {k: d for k, d in naive.items() if d <= radius}
+        table = ball(group, radius, state_cap=cap)
+        assert table.entries == expected
+        table.entries.clear()  # the caller's own copy: the store must not see this
+        table.entries[group.identity.key()] = 5
+    # every cap boundary holds on the warm store
+    for radius in range(max(r for r, _ in calls) + 1):
+        assert ball(group, radius, state_cap=counts[radius]).entries == {
+            k: d for k, d in naive.items() if d <= radius}
+        with pytest.raises(BudgetExceededError) as err:
+            ball(group, radius, state_cap=counts[radius] - 1)
+        assert str(err.value) == _cold_over_cap_message(counts, counts[radius] - 1)
 
 
 def test_sphere_sizes_nondecreasing_balls(cartan):
@@ -316,25 +365,39 @@ def test_table_lengths_match_exact_balls(name, data):
             assert res.status == "exceeds_budget" and res.expanded == 0
 
 
-def test_a_capped_table_query_does_not_depend_on_earlier_queries():
-    # markings no other test uses, so their tables start empty here; the twin
-    # differs only in its labels
-    group = marked_heisenberg(1, {"p": [1, 0, 3], "q": [0, 1, -2]})
-    twin = marked_heisenberg(1, {"s": [1, 0, 3], "t": [0, 1, -2]})
+# Markings no other test uses, so their tables and stores start empty in the test below;
+# a twin differs only in its labels.
+CAPPED_MARKINGS = {
+    "heisenberg": lambda p, q: marked_heisenberg(1, {p: [1, 0, 3], q: [0, 1, -2]}),
+    "cartan": lambda p, q: marked_cartan({p: "x y y", q: "y~"}),
+}
+
+
+def _check_capped_queries_do_not_depend_on_earlier_queries(kind):
+    group, twin = CAPPED_MARKINGS[kind]("p", "q"), CAPPED_MARKINGS[kind]("s", "t")
+    caps = (10, 200, 5000, 20_000)
 
     def capped(group, word):
         g = group.evaluate(parse_word(word))
-        return [word_length(group, g, budget=8, state_cap=cap) for cap in (10, 200)]
+        return [word_length(group, g, budget=8, state_cap=cap) for cap in caps]
 
     cold = capped(group, "p q p~ q~ p q")
     warm_up = word_length(group, group.evaluate(parse_word("p q p~ q~ p q")), budget=8)
     assert warm_up.exact and warm_up.expanded == 0
     assert capped(group, "p q p~ q~ p q") == cold
     assert cold[0].expanded > 0  # 10 elements do not reach the answer: the search ran
-    # a ball grows the twin's table past every layer the queries scan
+    # a ball grows the twin's table or store past every level the queries use
     ball(twin, 10)
-    assert len(metric._central_table(twin).layers) == 11
+    if kind == "heisenberg":
+        assert len(metric._central_table(twin).layers) == 11
+    else:
+        assert len(metric._ball_store(twin).counts) == 11
     assert capped(twin, "s t s~ t~ s t") == cold
+
+
+def test_a_capped_table_query_does_not_depend_on_earlier_queries():
+    for kind in CAPPED_MARKINGS:
+        _check_capped_queries_do_not_depend_on_earlier_queries(kind)
 
 
 def test_the_table_charges_every_element_of_the_layers_it_scans(h1):
@@ -455,16 +518,26 @@ def test_a_small_identity_ball_search_matches_naive_lengths(cartan):
 
 
 def test_the_cartan_ball_charges_its_entries_and_the_states_held():
-    # a marking no other test uses, so its ball is built by the first query below
-    group = marked_cartan({"p": "x y~", "q": "y"})
-    g = group.evaluate(parse_word("p q q p~ q~ q~ p q p~ q~"))  # length 10, past the radius
+    for grown in (False, True):
+        _check_the_cartan_ball_charges(grown)
+
+
+def _check_the_cartan_ball_charges(grown):
+    # markings no other test uses, so the identity ball is built by the first query below;
+    # the twin, which differs only in its labels, has its ball store grown past it first
+    p, q = ("s", "t") if grown else ("p", "q")
+    group = marked_cartan({p: "x y~", q: "y"})
+    if grown:
+        ball(group, 10)
+    g = group.evaluate(parse_word(f"{p} {q} {q} {p}~ {q}~ {q}~ {p} {q} {p}~ {q}~"))  # length 10
     lower = gauge_lower_bound(group, g)
     size = len(naive_ball(group, 7))
     held = 17  # backward states held after the last level before the one that meets the ball
     caps = (size - 1, size, size + held - 1, size + held, metric.DEFAULT_STATE_CAP)
     cold = [word_length(group, g, 12, state_cap=cap) for cap in caps]
-    ball = metric._identity_ball(group)
-    assert (ball.radius, len(ball.dist)) == (7, size)
+    oracle = metric._identity_ball(group)
+    assert (oracle.radius, len(oracle.dist), size) == (7, size, 4205)
+    assert len(metric._ball_store(group).counts) == (11 if grown else 9)
     warm = [word_length(group, g, 12, state_cap=cap) for cap in caps]
     assert cold == warm
     for cap, res in zip(caps, cold):
@@ -475,6 +548,6 @@ def test_the_cartan_ball_charges_its_entries_and_the_states_held():
             assert (res.status, res.length) == ("exact", 10) == (searched.status, searched.length)
             assert 0 < res.expanded < searched.expanded
     # a target inside the ball: the ball's entries alone are the charge
-    inside = group.evaluate(parse_word("p q p~ q~"))
+    inside = group.evaluate(parse_word(f"{p} {q} {p}~ {q}~"))
     assert word_length(group, inside, 4, state_cap=size) == LengthResult("exact", 4, 0, 0)
     assert word_length(group, inside, 4, state_cap=size - 1).expanded > 0
