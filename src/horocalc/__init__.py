@@ -49,6 +49,7 @@ from .metric import (
     distance,
     geodesic_certificate_by_face,
     is_geodesic_word,
+    length_within,
     word_length,
 )
 from .polytope import IMPROPER, Face, Polytope

@@ -17,7 +17,7 @@ from typing import Sequence
 from .errors import BudgetExceededError, DegenerateInputError
 from .groups import Word, standard_group
 from .horoboundary import STANDARD_GRID, DigitizedRay, busemann_eval, ray_elements
-from .metric import DEFAULT_STATE_CAP, word_length
+from .metric import DEFAULT_STATE_CAP, length_within
 
 
 def _reduced(u: tuple[int, int]) -> tuple[int, int]:
@@ -186,9 +186,11 @@ def bound_audit_upper(
 
     The audited inequality is diff <= C2 * cbrt(max(<B(h); u_perp>, 0) +
     |A(h)|) + C2; for both-odd directions the improved form drops the |A(h)|
-    term. n + |h_word| bounds every length, so only the state cap stops the
-    scan early; the report is then a prefix with ``complete`` false. A
-    largest n + |h_word| above AUDIT_MAX_LENGTH raises before any work.
+    term. Row n's length is at most n + |h_word| and at most the previous
+    row's length plus the letters between the two rows; ``length_within``
+    searches below the smaller bound, so only the state cap stops the scan
+    early; the report is then a prefix with ``complete`` false. A largest
+    n + |h_word| above AUDIT_MAX_LENGTH raises before any work.
     """
     frame = DirectionFrame.from_direction(u)
     n_min, n_max = _extremes(n_values) if n_values else (0, 0)
@@ -209,15 +211,15 @@ def bound_audit_upper(
     complete = True
     spec = DigitizedRay(frame.u)
     prefix_elems = ray_elements(group, spec, n_max)
+    diff = len(h_word)  # |h ray_n| - n is at most |h| and never grows with n
     for n in sorted(n_values):
         g = h * prefix_elems[n]
-        res = word_length(group, g, budget=n + len(h_word), state_cap=state_cap)
-        if res.status == "exceeds_budget":
-            raise AssertionError(f"|h ray_{n}| exceeds its bound {n + len(h_word)} (hard bug)")
+        res = length_within(group, g, n + diff, state_cap)
         if not res.exact:
             complete = False
             break
-        rows.append({"n": n, "length": res.length, "diff": res.length - n})
+        diff = res.length - n
+        rows.append({"n": n, "length": res.length, "diff": diff})
         if res.length < n:
             raise AssertionError("length below the abelianized gauge (hard bug)")
 

@@ -509,7 +509,7 @@ def cmd_selftest(args):
     from .classifier import anagram_set
     from .groups import CartanElement, HeisenbergElement, cartan_word_element, marked_heisenberg
     from .metric import ball as _ball
-    from .metric import word_length
+    from .metric import length_within, word_length
     from .reference import brute_force_anagram_offsets, brute_force_detour_pairings, naive_ball
     from .winding import cartan_path_oracle
 
@@ -575,13 +575,27 @@ def cmd_selftest(args):
 
     ok = True
     # radius 8 passes the identity ball's radius 7: lookups and backward searches both answer
-    for key, d in rng.sample(list(naive_ball(ca, 8).items()), 2000):
+    cartan_sample = rng.sample(list(naive_ball(ca, 8).items()), 2000)
+    for key, d in cartan_sample:
         g = CartanElement(*key[1:])
         for budget in (d - 1, d, d + 2) if d else (0, 2):
             res = word_length(ca, g, budget)
             expected = ("exact", d) if d <= budget else ("exceeds_budget", None)
             ok &= (res.status, res.length) == expected
     checks["cartan_ball_search_vs_ball"] = ok
+
+    ok = True
+    # Cartan lengths have the parity of x + y; h1z has none, so its searches stop one short
+    h1z = standard_group("h1z")
+    h1z_ball = [(HeisenbergElement(key[1:2], key[2:3], key[3]), d)
+                for key, d in naive_ball(h1z, 5).items()]
+    for G, elements in ((ca, [(CartanElement(*key[1:]), d) for key, d in cartan_sample[:500]]),
+                        (h1z, h1z_ball)):
+        for g, d in elements:
+            for upper in (d, d + 1, d + 2):
+                res = length_within(G, g, upper)
+                ok &= (res.status, res.length) == ("exact", d)
+    checks["length_within_vs_ball"] = ok
 
     passed = all(checks.values())
     _emit(args, {"passed": passed, "checks": checks}, None, {})

@@ -25,6 +25,7 @@ from .metric import (
     ball,
     geodesic_certificate_by_face,
     is_geodesic_by_search,
+    length_within,
     letter_face,
     word_length,
 )
@@ -199,19 +200,18 @@ def _exact_norm(group: MarkedGroup, h: GroupElement | Sequence[str], norm_budget
                 state_cap: int) -> tuple[GroupElement, int]:
     """The element h (a word, or an element with ``norm_budget``) and its exact |h|.
 
-    A word's length is a proved bound on |h|, so its search can stop only at
-    the state cap; ``norm_budget`` is the caller's claim and may be exceeded.
+    A word's length is a proved bound on |h|, so ``length_within`` searches
+    below it and only the state cap stops it; ``norm_budget`` is the caller's
+    claim and may be exceeded.
     """
-    is_word = isinstance(h, (list, tuple))
-    if is_word:
-        elem, bound = group.evaluate(h), len(h)
+    if isinstance(h, (list, tuple)):
+        elem = group.evaluate(h)
+        res = length_within(group, elem, len(h), state_cap)
     elif norm_budget is None:
         raise DegenerateInputError("element arguments need norm_budget")
     else:
-        elem, bound = h, norm_budget
-    res = word_length(group, elem, budget=bound, state_cap=state_cap)
-    if is_word and res.status == "exceeds_budget":
-        raise AssertionError(f"a word of length {bound} exceeds that budget (hard bug)")
+        elem = h
+        res = word_length(group, elem, budget=norm_budget, state_cap=state_cap)
     if not res.exact:
         raise BudgetExceededError("could not establish the element's length within its budget")
     return elem, res.length
@@ -252,7 +252,9 @@ def busemann_eval(
 
     ``h`` may be a word (preferred: its length bounds the first search) or
     an element with ``norm_budget`` as a known upper bound for |h|. Step n's
-    budget n + a_{n-1} is a triangle bound, so only the state cap stops a scan.
+    length has the triangle bound n + a_{n-1}, so ``length_within`` searches
+    below it, the bound answers once that search is exhausted, and only the
+    state cap stops a scan.
     """
     elem, prev = _exact_norm(group, h, norm_budget, state_cap)  # value at n = 0
     validate_ray(group, spec, horizon, state_cap=state_cap)
@@ -275,9 +277,7 @@ def busemann_eval(
     reached = 0
     for n in range(1, horizon + 1):
         g = g * group.generator(letters[n - 1])
-        res = word_length(group, hinv * g, budget=n + prev, state_cap=state_cap)
-        if res.status == "exceeds_budget":
-            raise AssertionError(f"|h^-1 ray_{n}| exceeds the triangle bound {n + prev} (hard bug)")
+        res = length_within(group, hinv * g, n + prev, state_cap)
         if not res.exact:
             exhausted = True
             break

@@ -21,6 +21,14 @@ The searches prune by the abelianized gauge, which lower-bounds word length
 admissible, so results are exact and "exceeds budget" is a proved claim
 whenever the frontiers were exhausted rather than capped.
 
+A caller that holds a proved upper bound on the length asks
+``length_within`` instead: the search runs below the bound, and the bound
+answers once the search is exhausted. Where lengths have the parity of a
+linear form on the abelianization (``_parity_covector``), as on the standard
+markings of Z^d, H_k and the Cartan group, the search stops two levels short
+of the bound, since the length of the bound's parity below it is the only one
+left; otherwise one level short.
+
 An H_k ball is read from the same central table, sphere by sphere. Every
 other ball is read from the group's ball store (``_BallStore``, one per
 marked abelian or Cartan group): a level-synchronous expansion grown one
@@ -49,7 +57,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, product
 from operator import add, mul, sub
 from typing import Callable, Iterable, Sequence
 
@@ -493,6 +501,21 @@ class LengthResult:
         return self.status == "exact"
 
 
+@lru_cache(maxsize=64)
+def _parity_covector(group: MarkedGroup) -> tuple[int, ...] | None:
+    """f in {0,1}^d with f.ab(s) odd for every generator s, or None if there is none.
+
+    Given f, every word for g has length congruent to f.ab(g) mod 2, so every
+    relator has even length. There is none when some relator is odd, as with
+    a central generator or with (1, 1) beside x and y. The hull's polytope
+    allows d <= 4, so at most 16 candidates are tried.
+    """
+    projected_polytope(group)  # raises above polytope.MAX_DIM
+    gens = [s.abelianized() for _, s in group.generator_items()]
+    return next((f for f in product((0, 1), repeat=group.abelian_rank)
+                 if all(sum(map(mul, f, v)) % 2 for v in gens)), None)
+
+
 def word_length(
     group: MarkedGroup,
     g: GroupElement,
@@ -522,6 +545,33 @@ def word_length(
         res = _identity_ball(group).search(start, lower, budget, state_cap)
     return res if res is not None else _bidirectional_search(group, start, lower, budget,
                                                              state_cap)
+
+
+def length_within(group: MarkedGroup, g: GroupElement, upper: int,
+                  state_cap: int = DEFAULT_STATE_CAP) -> LengthResult:
+    """Exact word length of g, given a proved bound |g| <= ``upper``.
+
+    Let top be ``upper``, or with a parity covector f the largest value
+    <= ``upper`` of the parity of f.ab(g), and gap 1, or 2 with f. Then
+    |g| <= top, and top is the only length above top - gap that g can have,
+    so one ``word_length`` search at budget top - gap decides: an exact
+    answer stands, and ``exceeds_budget`` proves |g| = top. ``inconclusive`` passes through. A
+    gauge bound above top, or with f an exact answer of the other parity,
+    contradicts the bound and raises as a hard bug.
+    """
+    f = _parity_covector(group)
+    if f is None:
+        top, gap = upper, 1
+    else:
+        top, gap = upper - (upper - sum(map(mul, f, g.abelianized()))) % 2, 2
+    # when top < gap, budget 0 finds the identity and proves any other g has length top
+    res = word_length(group, g, max(top - gap, 0), state_cap)
+    if res.lower_bound > top or (f is not None and res.exact and (top - res.length) % 2):
+        raise AssertionError(f"a search below the proved length bound {upper} "
+                             f"contradicts it (hard bug)")
+    if res.status == "exceeds_budget":
+        return LengthResult("exact", top, res.lower_bound, res.expanded)
+    return res
 
 
 def _bidirectional_search(group: MarkedGroup, start: Key, lower: int, budget: int,
@@ -657,14 +707,13 @@ def is_geodesic_by_search(
 ) -> bool:
     """``is_geodesic_word`` without the face certificate, for callers that hold it.
 
-    Every prefix of a geodesic word is geodesic, so one search of the whole
-    word at budget ``len(word)`` decides it. When that search hits the state
-    cap this raises BudgetExceededError (fails closed), even if a shorter
-    prefix alone would have shown the word is not geodesic.
+    Every prefix of a geodesic word is geodesic, so the word is geodesic iff
+    its element has length ``len(word)``: one ``length_within`` query with that
+    proved bound decides it, searching below it. When that search hits the
+    state cap this raises BudgetExceededError (fails closed), even if a
+    shorter prefix alone would have shown the word is not geodesic.
     """
-    res = word_length(group, group.evaluate(word), budget=len(word), state_cap=state_cap)
-    if res.status == "inconclusive":
-        raise BudgetExceededError(f"state cap hit while checking a word of length {len(word)}")
+    res = length_within(group, group.evaluate(word), len(word), state_cap)
     if not res.exact:
-        raise AssertionError(f"a word of length {len(word)} exceeds that budget (hard bug)")
+        raise BudgetExceededError(f"state cap hit while checking a word of length {len(word)}")
     return res.length == len(word)

@@ -1,10 +1,11 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately avoid the optimized code paths: a plain FIFO breadth-first
-search for distances, permutation brute force and a one-lattice set DP for
-anagram offsets, a region-boundary walk for digitized rays, and a depth-first
-enumeration of Cartan words for the lower audit. The self-test suite and the
-test suite compare them against the production implementations.
+search for distances and Busemann scans, permutation brute force and a
+one-lattice set DP for anagram offsets, a region-boundary walk for digitized
+rays, and a depth-first enumeration of Cartan words for the lower audit. The
+self-test suite and the test suite compare them against the production
+implementations.
 """
 
 from __future__ import annotations
@@ -32,6 +33,21 @@ def naive_ball(group: MarkedGroup, radius: int) -> dict[tuple, int]:
                 dist[k] = d + 1
                 queue.append((h, d + 1))
     return dist
+
+
+def naive_busemann_values(group: MarkedGroup, spec, word: Sequence[str], horizon: int) -> list[int]:
+    """|h^-1 ray_n| - n for n = 0..horizon, with h the element of ``word``, from one naive ball.
+
+    |h^-1 ray_n| <= len(word) + n, so the ball of radius len(word) + horizon
+    holds every element scanned; ray_n is a plain product of the ray's letters.
+    """
+    dist = naive_ball(group, len(word) + horizon)
+    g = group.evaluate(word).inverse()
+    values = [dist[g.key()]]
+    for n, letter in enumerate(spec.letters(horizon), 1):
+        g = g * group.generator(letter)
+        values.append(dist[g.key()] - n)
+    return values
 
 
 def brute_force_anagram_offsets(group: MarkedGroup, word: Sequence[str]) -> set[int]:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horocalc import cartan
+from horocalc import cartan, metric
 from horocalc.cartan import (
     AUDIT_MAX_LENGTH,
     DirectionFrame,
@@ -22,7 +22,7 @@ from horocalc.errors import BudgetExceededError, DegenerateInputError
 from horocalc.groups import parse_word, standard_group
 from horocalc.horoboundary import DigitizedRay, ray_elements
 from horocalc.metric import LengthResult
-from horocalc.reference import brute_force_detour_pairings
+from horocalc.reference import brute_force_detour_pairings, naive_busemann_values
 from horocalc.winding import cartan_path_oracle
 
 
@@ -167,11 +167,39 @@ def test_bound_audit_upper_rejects_noncentral():
 
 
 def test_bound_audit_upper_never_exceeds_its_budget(monkeypatch):
-    # |h ray_n| <= n + |h_word|, so exceeds_budget would be a bug, not a budget stop
-    exceeds = LengthResult("exceeds_budget", None, 0, 0)
-    monkeypatch.setattr(cartan, "word_length", lambda *args, **kwargs: exceeds)
+    # |h ray_n| <= n + |h_word| and has the parity of n: the search runs below that bound,
+    # and an answer of the other parity is a bug, not a budget stop
+    odd = LengthResult("exact", 3, 0, 0)
+    monkeypatch.setattr(metric, "word_length", lambda *args, **kwargs: odd)
     with pytest.raises(AssertionError, match="hard bug"):
         bound_audit_upper((1, 1), parse_word("x y x~ y~"), [2])
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    u=st.sampled_from([(1, 0), (1, 1), (1, 2), (2, 1), (-1, 3), (2, -3)]),
+    h_word=st.sampled_from(["x y x~ y~", "y x y~ x~", "x y~ x~ y", "x x~", ""]),
+    data=st.data(),
+)
+def test_bound_audit_upper_rows_match_the_naive_ball(u, h_word, data):
+    # rows need not be consecutive, so each row's bound from the row before spans a gap
+    h_word = parse_word(h_word)
+    n_values = data.draw(st.lists(st.integers(0, 10 - len(h_word)), min_size=1, max_size=3,
+                                  unique=True))
+    rep = bound_audit_upper(u, h_word, n_values)
+    group = standard_group("cartan")
+    # |h ray_n| - n is the scan of h^-1 along the ray
+    h_inv = [group.inverse_of_label(letter) for letter in reversed(h_word)]
+    naive = naive_busemann_values(group, DigitizedRay(rep.direction), h_inv, max(n_values))
+    assert rep.complete
+    assert [(r["n"], r["diff"]) for r in rep.rows] == [(n, naive[n]) for n in sorted(n_values)]
+
+
+def test_bound_audit_upper_gaps_between_rows():
+    rep = bound_audit_upper((1, 1), parse_word("x y x~ y~"), [2, 5, 6])
+    group = standard_group("cartan")
+    naive = naive_busemann_values(group, DigitizedRay(rep.direction), parse_word("y x y~ x~"), 6)
+    assert [r["diff"] for r in rep.rows] == [naive[2], naive[5], naive[6]]
 
 
 def test_bound_audit_upper_mixed_parity_no_improved():

@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horocalc import horoboundary, metric
 from horocalc.cli import main
@@ -27,7 +29,7 @@ from horocalc.horoboundary import (
     validate_ray,
 )
 from horocalc.metric import LengthResult, ball, geodesic_certificate_by_face
-from horocalc.reference import brute_force_digitized
+from horocalc.reference import brute_force_digitized, naive_busemann_values
 
 
 def test_ray_prefix_periodic():
@@ -178,23 +180,44 @@ def test_busemann_needs_norm_budget_for_elements(h1):
 
 
 def test_busemann_scan_at_its_triangle_bound_never_exceeds_it(monkeypatch, h1):
-    # |h| <= len(word) and |h^-1 ray_n| <= n + a_{n-1}: exceeds_budget would be a bug
-    exceeds = LengthResult("exceeds_budget", None, 0, 0)
-    real = horoboundary.word_length
+    # |h| <= len(word) and |h^-1 ray_n| <= n + a_{n-1}: the searches run below these bounds,
+    # and an answer that contradicts one is a bug
+    real = metric.word_length
     spec, word = DigitizedRay((1, 2)), parse_word("x y x~ y~")
-    monkeypatch.setattr(horoboundary, "word_length", lambda *args, **kwargs: exceeds)
-    with pytest.raises(AssertionError, match="a word of length 4 exceeds"):
+    odd = LengthResult("exact", 1, 0, 0)  # every word for h is even on H_1
+    monkeypatch.setattr(metric, "word_length", lambda *args, **kwargs: odd)
+    with pytest.raises(AssertionError, match="proved length bound 4 contradicts it"):
         busemann_eval(h1, spec, word, horizon=4)
     calls = []
 
-    def exceeds_after_the_norm(*args, **kwargs):
+    def gauge_above_the_bound_after_the_norm(*args, **kwargs):
         calls.append(args)
-        return real(*args, **kwargs) if len(calls) == 1 else exceeds
+        return real(*args, **kwargs) if len(calls) == 1 else LengthResult(
+            "exceeds_budget", None, 6, 0)
 
-    monkeypatch.setattr(horoboundary, "word_length", exceeds_after_the_norm)
-    with pytest.raises(AssertionError, match="triangle bound"):
+    monkeypatch.setattr(metric, "word_length", gauge_above_the_bound_after_the_norm)
+    with pytest.raises(AssertionError, match="proved length bound 5 contradicts it"):
         busemann_eval(h1, spec, word, horizon=4)
     assert len(calls) == 2
+
+
+# Largest len(word) + horizon a scan is checked at against the naive ball.
+NAIVE_SCAN_RADII = {"h1": 10, "cartan": 7}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(NAIVE_SCAN_RADII)), data=st.data())
+def test_busemann_values_match_the_naive_scan(name, data):
+    group = standard_group(name)
+    direction = data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+                          .filter(lambda u: u != (0, 0)))
+    horizon = data.draw(st.integers(1, NAIVE_SCAN_RADII[name]))
+    word = data.draw(st.lists(st.sampled_from(group.labels),
+                              max_size=NAIVE_SCAN_RADII[name] - horizon))
+    spec = DigitizedRay(direction)
+    est = busemann_eval(group, spec, word, horizon)
+    assert est.horizon == horizon
+    assert est.values == naive_busemann_values(group, spec, word, horizon)
 
 
 @pytest.mark.parametrize("n_max, m_max", [(-1, 3), (0, 3), (4, 3)])

@@ -26,14 +26,12 @@ from horocalc.metric import (
     geodesic_certificate_by_face,
     is_geodesic_by_search,
     is_geodesic_word,
+    length_within,
     word_length,
 )
 from horocalc.reference import naive_ball
 
 from conftest import random_word
-
-EXCEEDS = LengthResult("exceeds_budget", None, 0, 0)
-
 
 def collect_elements(group, radius):
     elems = {group.identity.key(): group.identity}
@@ -284,10 +282,52 @@ def test_a_degenerate_hull_gauges_every_element_by_zero():
 
 
 def test_geodesic_search_at_the_word_length_never_exceeds_it(monkeypatch, h1):
-    # the word itself has length len(word), so exceeds_budget would be a bug
-    monkeypatch.setattr(metric, "word_length", lambda *args, **kwargs: EXCEEDS)
+    # the word itself has length len(word), so a gauge bound above it would be a bug
+    gauge_above = LengthResult("exceeds_budget", None, 3, 0)
+    monkeypatch.setattr(metric, "word_length", lambda *args, **kwargs: gauge_above)
     with pytest.raises(AssertionError, match="hard bug"):
         is_geodesic_by_search(h1, parse_word("x x~"))
+
+
+# Markings for the proved-bound query, each with the radius of the naive ball it is
+# checked on; h1z (a central generator) and z2-hex ((1, 1) beside x and y) have odd
+# relators, so no parity covector.
+WITHIN_RADII = {"z2": 6, "z3": 4, "h1": 6, "h1z": 5, "h2": 3, "cartan": 6, "h1-custom": 5,
+                "z2-hex": 5}
+ODD_RELATORS = {"h1z", "z2-hex"}
+
+
+@lru_cache(maxsize=None)
+def _within_oracle(name):
+    return sorted(naive_ball(KERNEL_GROUPS[name], WITHIN_RADII[name]).items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(WITHIN_RADII)), data=st.data())
+def test_length_within_matches_a_search_at_the_bound(name, data):
+    group = KERNEL_GROUPS[name]
+    key, d = data.draw(st.sampled_from(_within_oracle(name)))
+    g = _element_from_coords(group, key[1:])
+    for upper in range(d, d + 4):
+        ours, theirs = length_within(group, g, upper), word_length(group, g, upper)
+        assert (ours.status, ours.length) == (theirs.status, theirs.length) == ("exact", d)
+        assert ours.lower_bound == theirs.lower_bound
+
+
+@pytest.mark.parametrize("name", sorted(WITHIN_RADII))
+def test_the_parity_covector_gives_every_length_parity(name):
+    group = KERNEL_GROUPS[name]
+    f = metric._parity_covector(group)
+    dist = dict(_within_oracle(name))
+    gens = [s for _, s in group.generator_items()]
+    # an edge inside a sphere closes an odd cycle, so an odd relator
+    odd_cycle = any(dist.get((_element_from_coords(group, key[1:]) * s).key()) == d
+                    for key, d in dist.items() for s in gens)
+    assert (f is None) == odd_cycle == (name in ODD_RELATORS)
+    if f is not None:
+        for key, d in dist.items():
+            ab = _element_from_coords(group, key[1:]).abelianized()
+            assert d % 2 == sum(a * b for a, b in zip(f, ab)) % 2
 
 
 def test_is_geodesic_examples(h1, cartan):
