@@ -55,8 +55,7 @@ def _emit(args, result: dict, group: MarkedGroup | None, budgets: dict) -> None:
     }
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if args.out and args.format == "json":
-        Path(args.out).write_text(text)
-        sys.stdout.write(json.dumps({"written": args.out}, sort_keys=True) + "\n")
+        _write_out(args.out, text)
     else:
         sys.stdout.write(text)
 
@@ -69,10 +68,22 @@ def _emit_csv(args, rows: list[dict]) -> None:
         for row in rows:
             writer.writerow({k: _jsonable(v) for k, v in row.items()})
     if args.out:
-        Path(args.out).write_text(buf.getvalue())
-        sys.stdout.write(json.dumps({"written": args.out}, sort_keys=True) + "\n")
+        _write_out(args.out, buf.getvalue())
     else:
         sys.stdout.write(buf.getvalue())
+
+
+def _write_out(out: str, text: str) -> None:
+    """Write a report or export to ``--out`` and name it on stdout."""
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise _unwritable(out, exc) from exc
+    sys.stdout.write(json.dumps({"written": out}, sort_keys=True) + "\n")
+
+
+def _unwritable(path, exc: OSError) -> ParseError:
+    return ParseError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _load_group_arg(args, default_preset: str | None = None) -> MarkedGroup:
@@ -135,7 +146,11 @@ def _cache_dir(args) -> Path | None:
     if not cache:
         return None
     path = Path(cache)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParseError(f"cannot use {cache} as the ball cache directory: "
+                         f"{exc.strerror or exc}") from exc
     return path
 
 
@@ -145,14 +160,19 @@ def write_ball_jsonl(table: DistanceTable, path: Path) -> None:
     The header records the entry count and a SHA-256 digest of the record
     lines, so a truncated or edited file is detected on read. The digest is
     known only after the records, so the header is first written with a
-    placeholder of the same width and then overwritten in place.
+    placeholder of the same width and then overwritten in place. A path
+    that cannot be written raises ParseError and leaves no temp file.
     """
     header = {"schema": SCHEMA, "kind": "ball-cache", "group_hash": table.group_hash,
               "radius": table.radius, "count": len(table), "digest": "0" * 64}
     digest = hashlib.sha256()
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w") as fh:
+        fh = open(tmp, "w")
+    except OSError as exc:  # no temp file was made
+        raise _unwritable(path, exc) from exc
+    try:
+        with fh:
             fh.write(json.dumps(header, sort_keys=True) + "\n")
             for key in sorted(table.entries):
                 line = json.dumps({"key": list(key), "dist": table.entries[key]},
@@ -163,6 +183,8 @@ def write_ball_jsonl(table: DistanceTable, path: Path) -> None:
             fh.seek(0)
             fh.write(json.dumps(header, sort_keys=True) + "\n")
         os.replace(tmp, path)
+    except OSError as exc:
+        raise _unwritable(path, exc) from exc
     finally:
         tmp.unlink(missing_ok=True)
 
@@ -508,8 +530,8 @@ def cmd_selftest(args):
     from .cartan import detour_pairings
     from .classifier import anagram_set
     from .groups import CartanElement, HeisenbergElement, cartan_word_element, marked_heisenberg
+    from .metric import _bidirectional_search, gauge_lower_bound, length_within, word_length
     from .metric import ball as _ball
-    from .metric import length_within, word_length
     from .reference import brute_force_anagram_offsets, brute_force_detour_pairings, naive_ball
     from .winding import cartan_path_oracle
 
@@ -574,7 +596,18 @@ def cmd_selftest(args):
     checks["central_table_vs_ball"] = ok
 
     ok = True
-    # radius 8 passes the identity ball's radius 7: lookups and backward searches both answer
+    # the plain search, which the central table answers before on H_k markings
+    for key, d in naive_ball(h1, 5).items():
+        if d:
+            lower = gauge_lower_bound(h1, HeisenbergElement(key[1:2], key[2:3], key[3]))
+            for budget in (d - 1, d, d + 2):
+                res = _bidirectional_search(h1, key, lower, budget, DEFAULT_STATE_CAP)
+                expected = ("exact", d) if d <= budget else ("exceeds_budget", None)
+                ok &= (res.status, res.length) == expected
+    checks["bidirectional_search_vs_ball"] = ok
+
+    ok = True
+    # radius 8 passes the identity ball's radius 7: lookups and searches seeded by it both answer
     cartan_sample = rng.sample(list(naive_ball(ca, 8).items()), 2000)
     for key, d in cartan_sample:
         g = CartanElement(*key[1:])

@@ -188,7 +188,8 @@ class MarkedGroup:
 
     Labels come in inverse pairs ``s`` / ``s~``; the constructor checks that
     paired generators really are mutually inverse. Instances are immutable
-    and hashable; equality is by canonical description.
+    and hashable; equality is by canonical description, compared by its
+    cached digest ``group_hash``.
     """
 
     def __init__(self, kind: str, params: int | None, generators: dict[str, GroupElement]):
@@ -302,7 +303,7 @@ class MarkedGroup:
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def __eq__(self, other):
-        return isinstance(other, MarkedGroup) and self.describe() == other.describe()
+        return isinstance(other, MarkedGroup) and self.group_hash == other.group_hash
 
     def __hash__(self):
         return hash(self.group_hash)

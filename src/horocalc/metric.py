@@ -10,11 +10,10 @@ A length query is answered by the first of three tiers that applies:
    on its first query from the first levels of the group's ball store): the
    largest complete ball around the identity with at most
    ``ORACLE_BALL_ENTRIES`` elements. A target in it is a lookup;
-   otherwise a backward search from the target stops at the first level
-   that meets the ball. If its states come to outnumber the ball's, the
-   bidirectional search takes over with the ball as its forward side.
+   otherwise the bidirectional search runs with the ball as its forward
+   side, R levels deep before it starts.
 3. Everything else, and any query a tier's charge puts over the state cap:
-   a bidirectional level-synchronous search.
+   the plain bidirectional level-synchronous search.
 
 The searches prune by the abelianized gauge, which lower-bounds word length
 (each generator projects into the unit ball of the gauge). The bound is
@@ -37,8 +36,8 @@ its first R levels.
 
 One state cap bounds every enumeration, in group elements held, checked
 after every level. The central table charges the elements of every layer up
-to the one a query scans, the identity ball its entries plus the backward
-states held, the bidirectional search its states, a ball its entries. The
+to the one a query scans, the bidirectional search its states (the identity
+ball's entries among them when the ball seeds it), a ball its entries. The
 tiers' charges do not depend on what ran before, and a query a tier cannot
 answer within the cap runs the plain bidirectional search, so a capped answer
 never depends on earlier queries. A length query over the cap is
@@ -338,71 +337,18 @@ class _IdentityBall:
     largest radius whose ball in the group's store has at most
     ``max_entries`` elements, and ``dist`` is a copy of those first R levels,
     so R, the entries and the charge do not depend on how far ``ball`` has
-    grown the store. A target in the ball is a lookup. For a target outside
-    it, |t| > R and a level-synchronous search runs backward from t: a state
-    k at depth j satisfies |t| <= j + |k|, and a geodesic of length L > R
-    passes a state of length R at depth L - R and none of length <= R
-    before. So the first level that meets the ball is L - R, and no meeting
-    up to depth j proves |t| > j + R. States outside the ball are pruned by
-    the lower bound max(gauge, R + 1). ``dist`` maps each element of the
-    ball to its length and ``sphere`` lists those of length R.
+    grown the store. ``dist`` maps each element of the ball to its length and
+    ``sphere`` lists those of length R. A target in the ball is a lookup; for
+    one outside it the ball seeds the bidirectional search's forward side.
     """
 
     def __init__(self, group: MarkedGroup, max_entries: int):
-        self.group = group
-        self.steps = _step_fns(group)
-        self.stop = 1 + group.abelian_rank
         store = _ball_store(group)
         while store.counts[-1] <= max_entries:
             store.grow()
         radius = bisect_right(store.counts, max_entries) - 1
         self.dist, self.radius = store.prefix(radius), radius
         self.sphere = [k for k, d in self.dist.items() if d == radius]
-
-    def search(self, start: Key, lower: int, budget: int, state_cap: int) -> LengthResult | None:
-        """The length of ``start`` if <= budget, else a proof that it exceeds it.
-
-        Once the backward states outnumber the ball's, a long target is
-        better met from both sides: the bidirectional search takes over,
-        its forward side starting as the ball. Charges the ball's entries
-        plus the states held, checked after every level; None when that
-        would pass ``state_cap`` with no proved answer, so the query needs
-        the plain bidirectional search.
-        """
-        dist, radius, steps, stop = self.dist, self.radius, self.steps, self.stop
-        if len(dist) > state_cap:
-            return None
-        d = dist.get(start)
-        if d is not None:
-            if d <= budget:
-                return LengthResult("exact", d, lower, 0)
-            return LengthResult("exceeds_budget", None, lower, 0)
-        bound = _steps_left_bound(self.group, floor=radius + 1)
-        seen = {start: 0}
-        frontier = [start]
-        depth = 0
-        while True:
-            if len(dist) + len(seen) > state_cap:
-                return None
-            if not frontier or depth + radius >= budget:
-                # no meeting up to this depth: |start| > depth + radius
-                return LengthResult("exceeds_budget", None, lower, len(seen) - 1)
-            if len(seen) > len(dist):
-                res = _bidirectional_search(self.group, start, lower, budget, state_cap,
-                                            self, (seen, frontier, depth))
-                return None if res.status == "inconclusive" else res
-            depth += 1
-            nxt: list[Key] = []
-            for node in frontier:
-                for step in steps:
-                    k = step(node)
-                    if k in dist:
-                        return LengthResult("exact", depth + radius, lower, len(seen) - 1)
-                    if k in seen or depth + bound(k[1:stop]) > budget:
-                        continue
-                    seen[k] = depth
-                    nxt.append(k)
-            frontier = nxt
 
 
 @lru_cache(maxsize=64)
@@ -487,8 +433,9 @@ class LengthResult:
     """Outcome of a bounded word-length query.
 
     ``status``: ``exact`` (length holds), ``exceeds_budget`` (proved
-    > budget), or ``inconclusive`` (state cap hit before a verdict).
-    ``expanded`` counts search states, so a table answer reports 0.
+    > budget), or ``inconclusive`` (state cap hit before a verdict). Only
+    ``exact`` carries a length. ``expanded`` counts the states a search
+    added to those it started from, so a table or ball lookup reports 0.
     """
 
     status: str
@@ -524,9 +471,12 @@ def word_length(
 ) -> LengthResult:
     """Exact word length of g if <= budget, otherwise a proof that it exceeds it.
 
-    Heisenberg lengths come from the group's central table and Cartan
-    lengths from its identity ball, each while its charge stays within
-    ``state_cap``; every other answer comes from the bidirectional search.
+    Heisenberg lengths come from the group's central table while its charge
+    stays within ``state_cap``. A Cartan target in the identity ball is a
+    lookup while the ball is within the cap; one outside it, while the ball
+    and the target are, is searched for with the ball as the forward side.
+    Every other answer, and a seeded search that ends ``inconclusive``,
+    comes from the plain bidirectional search.
     """
     if budget < 0:
         raise DegenerateInputError("budget must be >= 0")
@@ -538,13 +488,22 @@ def word_length(
         return LengthResult("exact", 0, lower, 0)
     if lower > budget:
         return LengthResult("exceeds_budget", None, lower, 0)
-    res = None
     if group.kind == "heisenberg":
         res = _central_table(group).lookup(start, lower, budget, state_cap)
+        if res is not None:
+            return res
     elif group.kind == "cartan":
-        res = _identity_ball(group).search(start, lower, budget, state_cap)
-    return res if res is not None else _bidirectional_search(group, start, lower, budget,
-                                                             state_cap)
+        ball = _identity_ball(group)
+        d = ball.dist.get(start)
+        if d is not None and len(ball.dist) <= state_cap:
+            if d <= budget:
+                return LengthResult("exact", d, lower, 0)
+            return LengthResult("exceeds_budget", None, lower, 0)
+        if d is None and len(ball.dist) < state_cap:
+            res = _bidirectional_search(group, start, lower, budget, state_cap, ball)
+            if res.status != "inconclusive":
+                return res
+    return _bidirectional_search(group, start, lower, budget, state_cap)
 
 
 def length_within(group: MarkedGroup, g: GroupElement, upper: int,
@@ -575,45 +534,47 @@ def length_within(group: MarkedGroup, g: GroupElement, upper: int,
 
 
 def _bidirectional_search(group: MarkedGroup, start: Key, lower: int, budget: int,
-                          state_cap: int, ball: _IdentityBall | None = None,
-                          backward: tuple[dict[Key, int], list[Key], int] | None = None,
-                          ) -> LengthResult:
+                          state_cap: int, ball: _IdentityBall | None = None) -> LengthResult:
     """Level-synchronous search from the identity and from ``start``, smaller side first.
 
-    Both frontiers prune states whose depth plus remaining gauge exceeds the
-    budget; that never discards a viable path, so an exhausted search is a
-    proof of ``exceeds_budget``. The states held are checked against
-    ``state_cap`` after every level. Given an identity ``ball`` and the
-    ``backward`` side it began (states, frontier, depth), the search goes
-    on from there: the forward side starts as the ball at depth R, its
-    sphere the frontier, and is copied before it first grows.
+    Both frontiers prune states whose depth plus a lower bound on the steps
+    left exceeds the budget, which never drops a state of a geodesic of
+    length <= budget. So while neither side has met the other after depths
+    df and db, |start| > df + db, or |start| > budget: the search proves
+    ``exceeds_budget`` once df + db reaches the budget or either frontier is
+    empty, and the first state that meets the other side proves |start| =
+    df + db, its own level counted. The states held are checked against
+    ``state_cap`` after every level.
+
+    Given an identity ``ball`` that does not hold ``start``, the forward side
+    starts as the ball at depth R, its sphere the frontier; it is copied, and
+    its bound built, only when it first grows. A backward state outside the
+    ball is farther than R from the identity, so the backward bound has the
+    floor R + 1; a state in the ball is a meeting, tested before the prune.
     """
     steps = _step_fns(group)
     stop = 1 + group.abelian_rank
-    e = group.identity.key()
+    bwd, bwd_frontier, db = {start: 0}, [start], 0
+    if ball is None:
+        e = group.identity.key()
+        fwd, fwd_frontier, df = {e: 0}, [e], 0
+        fwd_h = _steps_left_bound(group, target=start[1:stop])
+        bwd_h = _steps_left_bound(group)
+    else:
+        fwd, fwd_frontier, df = ball.dist, ball.sphere, ball.radius
+        fwd_h = None
+        bwd_h = _steps_left_bound(group, floor=ball.radius + 1)
+    held_at_start = len(fwd) + 1
 
-    shared = ball.dist if ball else None
-    fwd, fwd_frontier, df = (shared, ball.sphere, ball.radius) if ball else ({e: 0}, [e], 0)
-    bwd, bwd_frontier, db = backward or ({start: 0}, [start], 0)
-    fwd_h = _steps_left_bound(group, target=start[1:stop])
-    bwd_h = _steps_left_bound(group)
-    best = None
-    expanded = len(bwd) - 1
+    def result(status: str, length: int | None = None) -> LengthResult:
+        return LengthResult(status, length, lower, len(fwd) + len(bwd) - held_at_start)
 
     while True:
-        if best is not None and best <= budget and df + db >= best:
-            return LengthResult("exact", best, lower, expanded)
-        if df + db >= budget:
-            # every length <= df+db would have produced a meeting by now
-            return LengthResult("exceeds_budget", None, lower, expanded)
-        if not fwd_frontier and not bwd_frontier:
-            if best is not None and best <= budget:
-                return LengthResult("exact", best, lower, expanded)
-            return LengthResult("exceeds_budget", None, lower, expanded)
-
-        forward = bool(fwd_frontier) and (not bwd_frontier or len(fwd) <= len(bwd))
-        if forward and fwd is shared:
-            fwd = dict(shared)
+        if not fwd_frontier or not bwd_frontier or df + db >= budget:
+            return result("exceeds_budget")
+        forward = len(fwd) <= len(bwd)
+        if forward and fwd_h is None:
+            fwd, fwd_h = dict(fwd), _steps_left_bound(group, target=start[1:stop])
         if forward:
             frontier, seen, other, depth, h = fwd_frontier, fwd, bwd, df + 1, fwd_h
         else:
@@ -624,21 +585,13 @@ def _bidirectional_search(group: MarkedGroup, start: Key, lower: int, budget: in
                 k = step(node)
                 if k in seen:
                     continue
-                if depth + h(k[1:stop]) > budget:
-                    continue
-                seen[k] = depth
-                expanded += 1
-                od = other.get(k)
-                if od is not None:
-                    cand = depth + od
-                    if best is None or cand < best:
-                        best = cand
-                nxt.append(k)
+                if k in other:
+                    return result("exact", df + db + 1)
+                if depth + h(k[1:stop]) <= budget:
+                    seen[k] = depth
+                    nxt.append(k)
         if len(fwd) + len(bwd) > state_cap:
-            levels = (depth + db) if forward else (df + depth)
-            if best is not None and best <= budget and levels >= best:
-                return LengthResult("exact", best, lower, expanded)
-            return LengthResult("inconclusive", best, lower, expanded)
+            return result("inconclusive")
         if forward:
             fwd_frontier, df = nxt, depth
         else:

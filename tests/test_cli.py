@@ -461,6 +461,28 @@ def test_malformed_arguments_are_parse_errors(capsys, argv):
     assert err.startswith("horocalc: parse error:") and "Traceback" not in err
 
 
+UNWRITABLE = {  # argv for a scratch directory holding one file, "f"
+    "report": lambda d: ("dist", "--group", "h1", "--word", "x y", "--out", f"{d}/no/r.json"),
+    "export": lambda d: ("ball", "--group", "h1", "--radius", "2", "--format", "jsonl",
+                         "--out", f"{d}/no/b.jsonl"),
+    "export under a file": lambda d: ("ball", "--group", "cartan", "--radius", "2",
+                                      "--format", "jsonl", "--out", f"{d}/f/b.jsonl"),
+    "cache": lambda d: ("ball", "--group", "h1", "--radius", "2", "--cache", f"{d}/f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNWRITABLE))
+def test_unwritable_paths_are_parse_errors(tmp_path, capsys, name):
+    (tmp_path / "f").write_text("kept")
+    assert main(list(UNWRITABLE[name](tmp_path))) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("horocalc: parse error: cannot ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    # nothing written, no temp file left behind
+    assert [p.name for p in tmp_path.iterdir()] == ["f"]
+    assert (tmp_path / "f").read_text() == "kept"
+
+
 def _fuzz_text(*near):
     """Arbitrary text, or text built from the given fragments."""
     pieces = st.sampled_from(near + (",", ":", "..", "-", "/", "[", "]", "{", "}", '"'))

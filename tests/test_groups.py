@@ -173,6 +173,18 @@ def test_group_from_json_roundtrip(h1):
     assert group_from_json(doc2) == standard_group("cartan")
 
 
+def test_groups_compare_and_hash_by_their_description():
+    for name in ("z2", "h1", "cartan"):
+        a, b = standard_group(name), standard_group(name)
+        assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+    same = marked_heisenberg(1, {"p": [1, 0, 0], "q": [0, 1, 0]})
+    assert same == marked_heisenberg(1, {"p": [1, 0, 0], "q": [0, 1, 0]})
+    # the same generators under other labels, or the same labels on other generators
+    assert same != marked_heisenberg(1, {"s": [1, 0, 0], "t": [0, 1, 0]})
+    assert same != marked_heisenberg(1, {"p": [0, 1, 0], "q": [1, 0, 0]})
+    assert same != standard_group("h1") and standard_group("h1") != "h1"
+
+
 def test_group_from_json_errors():
     with pytest.raises(ParseError):
         group_from_json({"kind": "nope", "generators": [{"label": "x", "coords": [1]}]})

@@ -472,6 +472,32 @@ def test_the_table_never_builds_a_layer_its_floor_puts_over_the_cap():
     assert len(metric._central_table(group).layers) == 7
 
 
+# Exact lengths for the plain search on every marking, H_k included: the tiers answer
+# H_k and Cartan queries before it, so word_length alone leaves it untested there.
+SEARCH_ORACLE_RADII = {"z1": 8, "z2": 6, "z3": 4, "h1": 7, "h1z": 5, "h2": 3, "cartan": 6,
+                       "h1-custom": 5, "h2-custom": 3, "cartan-custom": 5, "z2-hex": 5,
+                       "h1-z2": 5}
+
+
+@lru_cache(maxsize=None)
+def _search_oracle(name):
+    """Every element but the identity, which word_length answers before any search."""
+    return sorted((key, d) for key, d in
+                  naive_ball(KERNEL_GROUPS[name], SEARCH_ORACLE_RADII[name]).items() if d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(KERNEL_GROUPS)), data=st.data())
+def test_the_plain_search_matches_naive_lengths(name, data):
+    group = KERNEL_GROUPS[name]
+    key, d = data.draw(st.sampled_from(_search_oracle(name)))
+    lower = gauge_lower_bound(group, _element_from_coords(group, key[1:]))
+    for budget in (d - 1, d, d + 2):
+        res = metric._bidirectional_search(group, key, lower, budget, metric.DEFAULT_STATE_CAP)
+        expected = ("exact", d) if d <= budget else ("exceeds_budget", None)
+        assert (res.status, res.length, res.lower_bound) == (*expected, lower), budget
+
+
 @pytest.mark.parametrize("name", ["z2", "cartan"])
 def test_steps_left_bound_is_the_gauge_toward_its_target(name):
     group = KERNEL_GROUPS[name]
@@ -542,17 +568,18 @@ def test_cartan_ball_search_agrees_with_the_bidirectional_search(name, rng):
 
 
 def test_a_small_identity_ball_search_matches_naive_lengths(cartan):
-    # radius 3: targets up to radius 6 need backward searches three levels deep
+    # radius 3: targets up to radius 6 are met up to three levels beyond the ball
     small = metric._IdentityBall(cartan, 60)
     assert small.radius == 3
     for key, d in naive_ball(cartan, 6).items():
-        if not d:
+        if d <= small.radius:
             continue
         lower = gauge_lower_bound(cartan, CartanElement(*key[1:]))
         for budget in (d - 1, d, d + 2):
             if budget < lower:
                 continue
-            res = small.search(key, lower, budget, metric.DEFAULT_STATE_CAP)
+            res = metric._bidirectional_search(cartan, key, lower, budget,
+                                               metric.DEFAULT_STATE_CAP, small)
             expected = ("exact", d) if d <= budget else ("exceeds_budget", None)
             assert (res.status, res.length) == expected, (key, budget)
 
