@@ -238,10 +238,12 @@ def cached_ball(group: MarkedGroup, radius: int, cache_dir: Path | None,
         if path.exists():
             table = read_ball_jsonl(path, group.group_hash)
             if table is not None and table.radius >= radius:
-                entries = {k: d for k, d in table.entries.items() if d <= radius}
-                if len(entries) > state_cap:
+                if table.radius > radius:  # at the radius asked, the reader checked every distance
+                    table = DistanceTable(group.group_hash, radius, {
+                        k: d for k, d in table.entries.items() if d <= radius})
+                if len(table) > state_cap:
                     break  # the ball below raises, at the level where it overflows
-                return DistanceTable(group.group_hash, radius, entries), "hit"
+                return table, "hit"
             state = "invalid"
     table = ball(group, radius, state_cap)
     write_ball_jsonl(table, cache_dir / f"{group.group_hash[:16]}_r{radius}.jsonl")
@@ -564,6 +566,8 @@ def cmd_selftest(args):
     checks["ball_vs_naive_h1"] = _ball(h1, 4).entries == naive_ball(h1, 4)
     checks["ball_vs_naive_h2"] = _ball(h2, 3).entries == naive_ball(h2, 3)
     checks["ball_vs_naive_cartan"] = _ball(ca, 3).entries == naive_ball(ca, 3)
+    _ball(h1, 5)  # the r3 ball below is then a prefix of the store
+    checks["ball_prefix_vs_naive"] = _ball(h1, 3).entries == naive_ball(h1, 3)
 
     ok = True
     for G in (h1, standard_group("h1z"), h2):

@@ -28,11 +28,11 @@ markings of Z^d, H_k and the Cartan group, the search stops two levels short
 of the bound, since the length of the bound's parity below it is the only one
 left; otherwise one level short.
 
-An H_k ball is read from the same central table, sphere by sphere. Every
-other ball is read from the group's ball store (``_BallStore``, one per
-marked abelian or Cartan group): a level-synchronous expansion grown one
-level at a time, only as far as a query asks. The Cartan identity ball is
-its first R levels.
+Every ball is read from the group's ball store (``_BallStore``, one per
+marked group), grown one level at a time, only as far as a query asks: an
+abelian or Cartan level by a level-synchronous expansion, an H_k level
+sphere by sphere from the central table. A ball is a copy of the store or a
+prefix of it. The Cartan identity ball is its first R levels.
 
 One state cap bounds every enumeration, in group elements held, checked
 after every level. The central table charges the elements of every layer up
@@ -43,7 +43,8 @@ answer within the cap runs the plain bidirectional search, so a capped answer
 never depends on earlier queries. A length query over the cap is
 ``inconclusive``; a ball over it raises BudgetExceededError. The central
 table and the ball store keep what they grew for the life of the process:
-the largest ball asked for, plus the level that overflowed the cap.
+the largest ball asked for, plus the level that overflowed the cap (which an
+H_k store has counted but not built).
 
 Searches run on canonical element keys (``GroupElement.key()`` tuples), not
 on element objects: each state is its own hash key, and right multiplication
@@ -291,22 +292,36 @@ def _central_table(group: MarkedGroup) -> _CentralTable:
 
 
 class _BallStore:
-    """The exact ball around the identity of one abelian or Cartan marking, grown on demand.
+    """The exact ball around the identity of one marking, grown on demand.
 
     ``dist`` maps each element to its length and is filled level by level, so
     the ball of radius r is its first ``counts[r]`` items (``counts`` is
-    cumulative); ``sphere`` lists the last level. A level is grown only when a
-    query asks for it, and what was grown is kept for the life of the process.
+    cumulative). ``grow`` counts the next level. An abelian or Cartan level is
+    expanded from the last one, whose keys ``sphere`` lists, and so is built as
+    it is counted. An H_k level is read from the central table: the
+    generating set is symmetric, so layer L holds layer L - 2, and an element
+    of length d < L lies in layer L - 1 or L - 2 (whichever has the parity of
+    d). Hence sphere L at an endpoint is its layer-L mask minus the layer
+    L - 1 and L - 2 masks there. ``sphere`` then lists (key head, lo, mask)
+    per endpoint, and the level's entries are built only when the next
+    ``grow`` or a ``prefix`` needs them, so a level counted over a cap is
+    never built. A level is grown only when a query asks for it, and what was
+    grown is kept for the life of the process.
     """
 
     def __init__(self, group: MarkedGroup):
         self.steps = _step_fns(group)
+        self.table = _central_table(group) if group.kind == "heisenberg" else None
         e = group.identity.key()
         self.dist: dict[Key, int] = {e: 0}
         self.counts = [1]
-        self.sphere: list[Key] = [e]
+        self.sphere: list = [e]
 
     def grow(self):
+        if self.table is not None:
+            self._build()
+            self._count_from_table()
+            return
         dist, r = self.dist, len(self.counts)
         nxt: list[Key] = []
         for g in self.sphere:
@@ -318,9 +333,41 @@ class _BallStore:
         self.sphere = nxt
         self.counts.append(len(dist))
 
+    def _count_from_table(self):
+        table, r = self.table, len(self.counts)
+        layers = table.layers
+        while len(layers) <= r:
+            table._grow()
+        older = layers[max(r - 2, 0):r]
+        sphere = []
+        held = self.counts[-1]
+        for p, (lo, mask) in layers[r].items():
+            for layer in older:
+                olo, omask = layer.get(p, (0, 0))
+                mask &= ~(omask << (olo - lo) if olo >= lo else omask >> (lo - olo))
+            if mask:
+                sphere.append((("h", *p), lo, mask))
+                held += mask.bit_count()
+        self.sphere = sphere
+        self.counts.append(held)
+
+    def _build(self):
+        """Enter the last level counted into ``dist``, unless it is there already."""
+        dist, r = self.dist, len(self.counts) - 1
+        if len(dist) == self.counts[r]:
+            return
+        for head, c, mask in self.sphere:
+            c -= 1
+            while mask:  # c walks the set bits, lowest first
+                shift = (mask & -mask).bit_length()
+                c += shift
+                dist[(*head, c)] = r
+                mask >>= shift
+
     def prefix(self, radius: int) -> dict[Key, int]:
-        """A fresh dict of the ball of the given radius, which must have been grown."""
+        """A fresh dict of the ball of the given radius, which must have been counted."""
         if radius == len(self.counts) - 1:
+            self._build()
             return self.dist.copy()
         return dict(islice(self.dist.items(), self.counts[radius]))
 
@@ -364,9 +411,10 @@ def gauge_lower_bound(group: MarkedGroup, g: GroupElement) -> int:
 def ball(group: MarkedGroup, radius: int, state_cap: int = DEFAULT_STATE_CAP) -> DistanceTable:
     """Complete exact ball of the given radius around the identity.
 
-    An H_k ball is read from the group's central table, sphere by sphere;
-    every other ball is a prefix of the group's ball store. The table
-    content is deterministic, and the returned entries are the caller's own.
+    Every ball is read from the group's ball store, whose H_k levels come
+    from the central table: a copy of the whole store, or a prefix of it.
+    The store's content is deterministic, and the returned entries are the
+    caller's own.
     The elements held are checked against ``state_cap`` after every level,
     level 0 included, and a level is grown only once the ball below it is
     within the cap, so this raises BudgetExceededError exactly when the ball
@@ -374,8 +422,6 @@ def ball(group: MarkedGroup, radius: int, state_cap: int = DEFAULT_STATE_CAP) ->
     """
     if radius < 0:
         raise DegenerateInputError("radius must be >= 0")
-    if group.kind == "heisenberg":
-        return _table_ball(group, radius, state_cap)
     store = _ball_store(group)
     for level in range(radius + 1):
         if level == len(store.counts):
@@ -388,44 +434,6 @@ def ball(group: MarkedGroup, radius: int, state_cap: int = DEFAULT_STATE_CAP) ->
 def _ball_over_cap(radius: int, state_cap: int) -> BudgetExceededError:
     return BudgetExceededError(
         f"ball of radius {radius} holds more than the state cap of {state_cap} elements")
-
-
-def _table_ball(group: MarkedGroup, radius: int, state_cap: int) -> DistanceTable:
-    """``ball`` for an H_k marking, read from its central table.
-
-    The generating set is symmetric, so layer L holds layer L - 2, and an
-    element of length d < L lies in layer L - 1 or L - 2 (whichever has the
-    parity of d). Hence sphere L at an endpoint is its layer-L mask minus
-    the layer L - 1 and L - 2 masks there. Each sphere is counted before its
-    entries are built, and layer L is grown only once the ball up to L - 1
-    is within the cap.
-    """
-    table = _central_table(group)
-    layers = table.layers
-    entries: dict[Key, int] = {}
-    held = 0
-    for r in range(radius + 1):
-        while len(layers) <= r:
-            table._grow()
-        older = layers[max(r - 2, 0):r]
-        sphere = []
-        for p, (lo, mask) in layers[r].items():
-            for layer in older:
-                olo, omask = layer.get(p, (0, 0))
-                mask &= ~(omask << (olo - lo) if olo >= lo else omask >> (lo - olo))
-            if mask:
-                sphere.append((("h", *p), lo, mask))
-                held += mask.bit_count()
-        if held > state_cap:
-            raise _ball_over_cap(r, state_cap)
-        for head, c, mask in sphere:
-            c -= 1
-            while mask:  # c walks the set bits, lowest first
-                shift = (mask & -mask).bit_length()
-                c += shift
-                entries[(*head, c)] = r
-                mask >>= shift
-    return DistanceTable(group.group_hash, radius, entries)
 
 
 @dataclass

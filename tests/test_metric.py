@@ -157,7 +157,8 @@ def test_ball_raises_iff_it_holds_more_than_the_state_cap(name):
 
 # Largest radius of the ball-store calls below on each marking, each checked against
 # the naive ball.
-STORE_RADII = {"z2": 9, "z2-hex": 8, "cartan": 7, "cartan-custom": 6}
+STORE_RADII = {"z2": 9, "z2-hex": 8, "cartan": 7, "cartan-custom": 6,
+               "h1": 10, "h1z": 7, "h2": 4, "h2-custom": 4}
 
 
 @lru_cache(maxsize=None)
@@ -200,6 +201,23 @@ def test_the_ball_store_gives_the_same_balls_in_any_order(name, data):
         with pytest.raises(BudgetExceededError) as err:
             ball(group, radius, state_cap=counts[radius] - 1)
         assert str(err.value) == _cold_over_cap_message(counts, counts[radius] - 1)
+
+
+@pytest.mark.parametrize("name", ["h1", "h1z", "h2", "h2-custom"])
+def test_an_h_k_sphere_over_the_cap_is_counted_not_built(name):
+    group = KERNEL_GROUPS[name]
+    naive, counts = _naive_store_ball(name)
+    metric._ball_store.cache_clear()
+    store = metric._ball_store(group)
+    for radius in range(1, STORE_RADII[name] + 1):
+        with pytest.raises(BudgetExceededError) as err:
+            ball(group, radius, state_cap=counts[radius] - 1)
+        assert str(err.value) == _cold_over_cap_message(counts, counts[radius] - 1)
+        assert store.counts == counts[:radius + 1]
+        assert len(store.dist) == counts[radius - 1]
+        assert ball(group, radius, state_cap=counts[radius]).entries == {
+            k: d for k, d in naive.items() if d <= radius}
+        assert len(store.dist) == counts[radius]
 
 
 def test_sphere_sizes_nondecreasing_balls(cartan):
