@@ -113,7 +113,7 @@ def _parse_ray(text: str):
         elif "periodic" in doc:
             body = doc["periodic"]
             return PeriodicRay(parse_word(body.get("prefix", "")), parse_word(body["block"]))
-    except (ValueError, TypeError, AttributeError, KeyError) as exc:
+    except (ValueError, TypeError, AttributeError, KeyError, RecursionError) as exc:
         raise ParseError(f"ray spec {text!r} is malformed: {exc}") from exc
     raise ParseError("ray spec must be a JSON object with a 'digitized' pair of integers "
                      "or a 'periodic' object with a 'block' word")
@@ -216,8 +216,8 @@ def read_ball_jsonl(path: Path, group_hash: str) -> DistanceTable | None:
         if header.get("count") != len(entries):
             return None
         return DistanceTable(group_hash, radius, entries)
-    # ValueError covers malformed JSON and text that is not UTF-8
-    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+    # ValueError covers malformed JSON and text that is not UTF-8, RecursionError deep nesting
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError):
         return None
 
 
@@ -500,7 +500,7 @@ def _parse_polygon(text: str) -> list[tuple[Fraction, Fraction]]:
         doc = json.loads(text)
         if isinstance(doc, list) and all(isinstance(p, list) for p in doc):
             return [(Fraction(x), Fraction(y)) for x, y in doc]
-    except (ValueError, TypeError, OverflowError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, OverflowError, ZeroDivisionError, RecursionError) as exc:
         raise ParseError(f"polygon {text!r} is malformed: {exc}") from exc
     raise ParseError("polygon must be a JSON list of [x, y] vertices")
 
@@ -531,7 +531,7 @@ def cmd_selftest(args):
 
     from .cartan import detour_pairings
     from .classifier import anagram_set
-    from .groups import CartanElement, HeisenbergElement, cartan_word_element, marked_heisenberg
+    from .groups import cartan_word_element, marked_heisenberg
     from .metric import _bidirectional_search, gauge_lower_bound, length_within, word_length
     from .metric import ball as _ball
     from .reference import brute_force_anagram_offsets, brute_force_detour_pairings, naive_ball
@@ -590,9 +590,8 @@ def cmd_selftest(args):
     z2_h1 = marked_heisenberg(1, {"x": [1, 0, 0], "y": [0, 1, 0], "z": [0, 0, 2]})
     for G, r in ((h1, 8), (standard_group("h1z"), 6), (h2, 4), (custom_h1, 6),
                  (z2_h1, 6)):
-        k = G.params
         for key, d in naive_ball(G, r).items():
-            g = HeisenbergElement(key[1:1 + k], key[1 + k:-1], key[-1])
+            g = G.element(key)
             for budget in (d - 1, d, d + 2) if d else (0, 2):
                 res = word_length(G, g, budget)
                 expected = ("exact", d) if d <= budget else ("exceeds_budget", None)
@@ -603,7 +602,7 @@ def cmd_selftest(args):
     # the plain search, which the central table answers before on H_k markings
     for key, d in naive_ball(h1, 5).items():
         if d:
-            lower = gauge_lower_bound(h1, HeisenbergElement(key[1:2], key[2:3], key[3]))
+            lower = gauge_lower_bound(h1, h1.element(key))
             for budget in (d - 1, d, d + 2):
                 res = _bidirectional_search(h1, key, lower, budget, DEFAULT_STATE_CAP)
                 expected = ("exact", d) if d <= budget else ("exceeds_budget", None)
@@ -614,7 +613,7 @@ def cmd_selftest(args):
     # radius 8 passes the identity ball's radius 7: lookups and searches seeded by it both answer
     cartan_sample = rng.sample(list(naive_ball(ca, 8).items()), 2000)
     for key, d in cartan_sample:
-        g = CartanElement(*key[1:])
+        g = ca.element(key)
         for budget in (d - 1, d, d + 2) if d else (0, 2):
             res = word_length(ca, g, budget)
             expected = ("exact", d) if d <= budget else ("exceeds_budget", None)
@@ -624,11 +623,9 @@ def cmd_selftest(args):
     ok = True
     # Cartan lengths have the parity of x + y; h1z has none, so its searches stop one short
     h1z = standard_group("h1z")
-    h1z_ball = [(HeisenbergElement(key[1:2], key[2:3], key[3]), d)
-                for key, d in naive_ball(h1z, 5).items()]
-    for G, elements in ((ca, [(CartanElement(*key[1:]), d) for key, d in cartan_sample[:500]]),
-                        (h1z, h1z_ball)):
-        for g, d in elements:
+    for G, sample in ((ca, cartan_sample[:500]), (h1z, naive_ball(h1z, 5).items())):
+        for key, d in sample:
+            g = G.element(key)
             for upper in (d, d + 1, d + 2):
                 res = length_within(G, g, upper)
                 ok &= (res.status, res.length) == ("exact", d)

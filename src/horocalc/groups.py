@@ -223,6 +223,15 @@ class MarkedGroup:
             return HeisenbergElement((0,) * self.params, (0,) * self.params, 0)
         return CARTAN_IDENTITY
 
+    def element(self, key: tuple) -> GroupElement:
+        """The element whose canonical key is ``key``: the inverse of ``GroupElement.key()``."""
+        if self.kind == "abelian":
+            return AbelianElement(key[1:])
+        if self.kind == "heisenberg":
+            k = self.params
+            return HeisenbergElement(key[1:1 + k], key[1 + k:1 + 2 * k], key[-1])
+        return CartanElement(*key[1:])
+
     def generator(self, label: str) -> GroupElement:
         try:
             return self._gen[label]
@@ -480,4 +489,6 @@ def load_group(path) -> MarkedGroup:
         raise ParseError(f"cannot read group file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"group file is not valid JSON: line {exc.lineno} col {exc.colno}") from exc
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise ParseError(f"group file is not valid JSON: {exc}") from exc
     return group_from_json(doc)

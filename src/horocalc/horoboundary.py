@@ -326,32 +326,16 @@ def horofn_window(group: MarkedGroup, x: Sequence[str], radius: int,
                   state_cap: int = DEFAULT_STATE_CAP):
     """Window of phi_x(w) = d(x, w) - d(x, e) for w in the radius-ball, x a word.
 
-    Computes one exact ball of radius |x| + radius, so every required
-    distance is a table lookup; ``state_cap`` bounds both the search for |x|
-    and that ball. Returns (window, window_elements).
+    The window is B(radius), a prefix of the ball B(|x| + radius) grown
+    first. Every d(x, w) = |x^-1 w| is a lookup in that bigger ball, since
+    |x^-1 w| <= |x| + |w|. ``state_cap`` bounds both the search for |x| and
+    the bigger ball. Returns (window, window_elements).
     """
     elem, norm_x = _exact_norm(group, x, None, state_cap)
-    table = ball(group, norm_x + radius, state_cap)
+    table = ball(group, norm_x + radius, state_cap).entries
     xinv = elem.inverse()
-    window_elems: dict[tuple, GroupElement] = {}
-    values: dict[tuple, int] = {}
-    frontier = [group.identity]
-    window_elems[group.identity.key()] = group.identity
-    for _ in range(radius):
-        nxt = []
-        for w in frontier:
-            for _, s in group.generator_items():
-                v = w * s
-                k = v.key()
-                if k not in window_elems and table.entries.get(k, radius + 1) <= radius:
-                    window_elems[k] = v
-                    nxt.append(v)
-        frontier = nxt
-    for k, w in window_elems.items():
-        d_xw = table.entries.get((xinv * w).key())
-        if d_xw is None:
-            raise AssertionError("window distance missing from the ball table")
-        values[k] = d_xw - norm_x
+    window_elems = {k: group.element(k) for k in ball(group, radius, state_cap).entries}
+    values = {k: table[(xinv * w).key()] - norm_x for k, w in window_elems.items()}
     return HorofnWindow(norm_x, values), window_elems
 
 

@@ -10,12 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
+from itertools import accumulate
 from typing import Sequence
 
 from .errors import DegenerateInputError, ParseError
 from .groups import MarkedGroup
 from .horoboundary import horofn_window
 from .metric import ball
+from .polytope import Polytope
 
 Vec2 = tuple[Fraction, Fraction]
 
@@ -76,31 +79,23 @@ class SymmetricPolygon:
     def from_points(points: Sequence[Sequence]) -> "SymmetricPolygon":
         """Convex hull of a symmetric planar point set, ordered CCW.
 
-        The starting vertex is the hull vertex with the smallest angle in
-        [0, 2pi), compared exactly by (half-plane, cross product).
+        The hull's vertices are the 0-dimensional faces of ``Polytope``, so a
+        set of more than ``polytope.MAX_POINTS`` distinct points is refused.
+        They are sorted by exact angle in [0, 2pi): first by half-plane
+        (y > 0, or y = 0 < x, comes first), then by cross product.
         """
-        pts = sorted({(Fraction(p[0]), Fraction(p[1])) for p in points})
-        hull = _convex_hull(pts)
-        if len(hull) < 2:
+        hull = Polytope(sorted({(Fraction(p[0]), Fraction(p[1])) for p in points}))
+        vertices = [hull.points[i] for f in hull.faces if f.dim == 0 for i in f.members]
+        if len(vertices) < 2:
             raise DegenerateInputError("hull is not a polygon")
 
-        def angle_rank(i):
-            x, y = hull[i]
-            return 0 if (y > 0 or (y == 0 and x > 0)) else 1
+        def half(p):  # 0 for angles in [0, pi), 1 for [pi, 2pi)
+            return p[1] < 0 or (p[1] == 0 and p[0] < 0)
 
-        def before(i, j):
-            ri, rj = angle_rank(i), angle_rank(j)
-            if ri != rj:
-                return ri < rj
-            (xi, yi), (xj, yj) = hull[i], hull[j]
-            return xi * yj - yi * xj > 0
+        def angle_cmp(p, q):
+            return half(p) - half(q) or q[0] * p[1] - q[1] * p[0]
 
-        start = 0
-        for i in range(1, len(hull)):
-            if before(i, start):
-                start = i
-        ordered = hull[start:] + hull[:start]
-        return SymmetricPolygon(ordered)
+        return SymmetricPolygon(sorted(vertices, key=cmp_to_key(angle_cmp)))
 
 
 def _signed_area(vs) -> Fraction:
@@ -110,27 +105,6 @@ def _signed_area(vs) -> Fraction:
         x1, y1 = vs[(i + 1) % len(vs)]
         s += x0 * y1 - x1 * y0
     return s / 2
-
-
-def _convex_hull(pts):
-    """Monotone chain, exact; returns CCW vertices without collinear points."""
-    if len(pts) <= 2:
-        return list(pts)
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
 
 
 @dataclass(frozen=True)
@@ -283,21 +257,16 @@ def discrete_vs_continuous(
 
     word = _sequence_word(group, sequence, n)
     window, elems = horofn_window(group, word, radius, WINDOW_MAX_ENTRIES)
-    diffs = [Fraction(0)] * (radius + 1)
-    dist_table = ball(group, radius, WINDOW_MAX_ENTRIES)
     conts = _endpoint_values(polygon, cls, elems)
-    for key in elems:
-        d = dist_table.entries[key]
-        gap = abs(window.values[key] - conts[key[1:3]])
-        for rr in range(d, radius + 1):
-            if gap > diffs[rr]:
-                diffs[rr] = gap
+    sphere_max = [Fraction(0)] * (radius + 1)
+    for key, d in ball(group, radius, WINDOW_MAX_ENTRIES).entries.items():
+        sphere_max[d] = max(sphere_max[d], abs(window.values[key] - conts[key[1:3]]))
     return ComparisonReport(
         sequence=sequence,
         n=n,
         cls=repr(cls),
         radius=radius,
-        max_abs_diff_by_radius=diffs,
+        max_abs_diff_by_radius=list(accumulate(sphere_max, max)),
         window_size=len(elems),
     )
 

@@ -12,7 +12,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import horocalc
@@ -108,7 +108,7 @@ def test_ball_cache_roundtrip(tmp_path, capsys):
     assert doc["result"]["cache"] == "miss"
 
 
-@pytest.mark.parametrize("damage", ["cut", "no_count", "edited_dist", "not_utf8"])
+@pytest.mark.parametrize("damage", ["cut", "no_count", "edited_dist", "not_utf8", "deep_header"])
 def test_ball_cache_damaged_file_is_recomputed(tmp_path, capsys, damage):
     argv = ("ball", "--group", "h1", "--radius", "6", "--cache", str(tmp_path))
     assert run_json(capsys, *argv)["result"]["cache"] == "miss"
@@ -125,6 +125,8 @@ def test_ball_cache_damaged_file_is_recomputed(tmp_path, capsys, damage):
         rec = json.loads(lines[1])
         rec["dist"] = 7
         lines[1] = json.dumps(rec, sort_keys=True) + "\n"
+    elif damage == "deep_header":
+        lines[0] = DEEP + "\n"
     path.write_text("".join(lines))
     if damage == "not_utf8":
         path.write_bytes(path.read_bytes().replace(b"{", b"\xff", 1))
@@ -347,6 +349,27 @@ def test_subfinsler_inputs_are_typed_errors(capsys, argv, code):
     assert "Traceback" not in capsys.readouterr().err
 
 
+# 13 generators and their inverses: 26 distinct projections, over the hull's limit of 24
+H1_13 = {"kind": "heisenberg", "k": 1, "generators": [
+    {"label": label, "coords": [a, b, 0]} for label, (a, b) in zip(
+        ["x", "y", *(f"g{i}" for i in range(11))],
+        [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (2, -1), (1, -2), (3, 1), (1, 3),
+         (3, -1), (1, -3), (3, 2)])]}
+
+
+@pytest.mark.parametrize("argv", [
+    ("subfinsler", "--fingerprint", "1"),
+    ("subfinsler", "--compare", "central", "--window", "1"),
+    ("dist", "--word", "x"),
+    ("busemann", "--ray", '{"periodic":{"block":"x"}}', "--element", "y", "--horizon", "2"),
+], ids=" ".join)
+def test_a_marking_past_the_hull_point_limit_is_refused_alike(tmp_path, capsys, argv):
+    path = tmp_path / "h1_13.json"
+    path.write_text(json.dumps(H1_13))
+    assert main([*argv, "--group", str(path)]) == 2
+    assert capsys.readouterr().err == "horocalc: too many points (max 24)\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("--audit", "upper", "--n", "50", "--delta", "70"),
     ("--audit", "upper", "--delta", "2"),
@@ -441,7 +464,12 @@ def test_calls_in_one_process_report_as_fresh_processes_do():
         assert _main_output(argv) == fresh[argv], argv
 
 
+DEEP = "[" * 50_000 + "]" * 50_000  # JSON nested past the decoder's recursion limit
+
 BAD_INPUTS = [
+    ("ray", "--group", "h1", "--ray", DEEP),
+    ("ray", "--group", "h1", "--ray", '{"digitized": %s}' % DEEP),
+    ("subfinsler", "--polygon", DEEP),
     ("ray", "--group", "h1", "--ray", '{"digitized":[1]}'),
     ("ray", "--group", "h1", "--ray", '{"digitized":["a",1]}'),
     ("ray", "--group", "z2", "--ray", '{"periodic":"x"}'),
@@ -454,11 +482,13 @@ BAD_INPUTS = [
 ]
 
 
-@pytest.mark.parametrize("argv", BAD_INPUTS, ids=lambda argv: " ".join(argv[:1] + argv[-1:]))
+@pytest.mark.parametrize("argv", BAD_INPUTS,
+                         ids=lambda argv: " ".join(argv[:1] + argv[-1:])[:32])
 def test_malformed_arguments_are_parse_errors(capsys, argv):
     assert main(list(argv)) == 4
     err = capsys.readouterr().err
     assert err.startswith("horocalc: parse error:") and "Traceback" not in err
+    assert err.count("\n") == 1
 
 
 UNWRITABLE = {  # argv for a scratch directory holding one file, "f"
@@ -743,12 +773,17 @@ def test_fuzzed_group_json_is_loaded_exactly_or_rejected(doc):
 
 
 @settings(max_examples=100, deadline=None)
-@given(doc=GROUP_DOCS)
-def test_fuzzed_group_files_never_end_in_a_traceback(tmp_path_factory, doc):
+@given(blob=st.one_of(GROUP_DOCS.map(lambda doc: json.dumps(doc).encode()),
+                      st.binary(max_size=16)))
+@example(blob=b'{"kind": "\xff"}')  # not UTF-8
+@example(blob=DEEP.encode())
+def test_fuzzed_group_files_never_end_in_a_traceback(tmp_path_factory, blob):
     path = tmp_path_factory.mktemp("group") / "g.json"
-    path.write_text(json.dumps(doc))
+    path.write_bytes(blob)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["dist", "--group", str(path), "--word", ""])
-    assert code in (0, 2, 3, 4), (doc, err.getvalue())
+    assert code in (0, 2, 3, 4), (blob[:80], err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if code == 4:
+        assert err.getvalue().count("\n") == 1

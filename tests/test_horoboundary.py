@@ -28,8 +28,8 @@ from horocalc.horoboundary import (
     same_busemann,
     validate_ray,
 )
-from horocalc.metric import LengthResult, ball, geodesic_certificate_by_face
-from horocalc.reference import brute_force_digitized, naive_busemann_values
+from horocalc.metric import LengthResult, ball, geodesic_certificate_by_face, word_length
+from horocalc.reference import brute_force_digitized, naive_ball, naive_busemann_values
 
 
 def test_ray_prefix_periodic():
@@ -380,6 +380,19 @@ def test_horofn_window_identity_center(h1):
     assert horofn_window(h1, [], radius=3, state_cap=len(table))[0].values == table.entries
     with pytest.raises(BudgetExceededError):
         horofn_window(h1, [], radius=3, state_cap=len(table) - 1)
+
+
+def test_horofn_window_cartan(cartan):
+    word = ["x", "x", "y", "x~", "y"]
+    win, elems = horofn_window(cartan, word, radius=3)
+    assert win.values.keys() == elems.keys() == naive_ball(cartan, 3).keys()
+    x = cartan.evaluate(word)
+    assert win.center_norm == word_length(cartan, x, budget=len(word)).length
+    for key, w in elems.items():
+        assert w.key() == key
+        d_xw = word_length(cartan, x.inverse() * w, budget=win.center_norm + 3).length
+        assert win.values[key] == d_xw - win.center_norm
+    assert win.lipschitz_violations(cartan, elems) == []
 
 
 def test_horofn_window_along_geodesic(h1):

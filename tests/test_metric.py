@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from horocalc.errors import BudgetExceededError, DegenerateInputError, GroupKindMismatchError
 from horocalc.groups import (
     AbelianElement,
-    CartanElement,
-    HeisenbergElement,
     marked_abelian,
     marked_cartan,
     marked_heisenberg,
@@ -66,15 +64,6 @@ KERNEL_GROUPS["z2-hex"] = marked_abelian(2, {"a": [1, 0], "b": [1, 1], "c": [0, 
 KERNEL_GROUPS["h1-z2"] = marked_heisenberg(1, {"x": [1, 0, 0], "y": [0, 1, 0], "z": [0, 0, 2]})
 
 
-def _element_from_coords(group, coords):
-    if group.kind == "abelian":
-        return AbelianElement(tuple(coords))
-    if group.kind == "heisenberg":
-        k = group.params
-        return HeisenbergElement(tuple(coords[:k]), tuple(coords[k : 2 * k]), coords[2 * k])
-    return CartanElement(*coords)
-
-
 @settings(max_examples=300, deadline=None)
 @given(name=st.sampled_from(sorted(KERNEL_GROUPS)), data=st.data())
 def test_step_fns_match_element_products(name, data):
@@ -83,7 +72,8 @@ def test_step_fns_match_element_products(name, data):
     size = len(group.identity.key()) - 1
     coords = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=size, max_size=size))
     steps = _step_fns(group)
-    for g in (group.evaluate(word), _element_from_coords(group, coords)):
+    for g in (group.evaluate(word), group.element(group.identity.key()[:1] + tuple(coords))):
+        assert group.element(g.key()) == g
         for (_, s), step in zip(group.generator_items(), steps, strict=True):
             assert step(g.key()) == (g * s).key()
 
@@ -325,7 +315,7 @@ def _within_oracle(name):
 def test_length_within_matches_a_search_at_the_bound(name, data):
     group = KERNEL_GROUPS[name]
     key, d = data.draw(st.sampled_from(_within_oracle(name)))
-    g = _element_from_coords(group, key[1:])
+    g = group.element(key)
     for upper in range(d, d + 4):
         ours, theirs = length_within(group, g, upper), word_length(group, g, upper)
         assert (ours.status, ours.length) == (theirs.status, theirs.length) == ("exact", d)
@@ -339,12 +329,12 @@ def test_the_parity_covector_gives_every_length_parity(name):
     dist = dict(_within_oracle(name))
     gens = [s for _, s in group.generator_items()]
     # an edge inside a sphere closes an odd cycle, so an odd relator
-    odd_cycle = any(dist.get((_element_from_coords(group, key[1:]) * s).key()) == d
+    odd_cycle = any(dist.get((group.element(key) * s).key()) == d
                     for key, d in dist.items() for s in gens)
     assert (f is None) == odd_cycle == (name in ODD_RELATORS)
     if f is not None:
         for key, d in dist.items():
-            ab = _element_from_coords(group, key[1:]).abelianized()
+            ab = group.element(key).abelianized()
             assert d % 2 == sum(a * b for a, b in zip(f, ab)) % 2
 
 
@@ -509,7 +499,7 @@ def _search_oracle(name):
 def test_the_plain_search_matches_naive_lengths(name, data):
     group = KERNEL_GROUPS[name]
     key, d = data.draw(st.sampled_from(_search_oracle(name)))
-    lower = gauge_lower_bound(group, _element_from_coords(group, key[1:]))
+    lower = gauge_lower_bound(group, group.element(key))
     for budget in (d - 1, d, d + 2):
         res = metric._bidirectional_search(group, key, lower, budget, metric.DEFAULT_STATE_CAP)
         expected = ("exact", d) if d <= budget else ("exceeds_budget", None)
@@ -592,7 +582,7 @@ def test_a_small_identity_ball_search_matches_naive_lengths(cartan):
     for key, d in naive_ball(cartan, 6).items():
         if d <= small.radius:
             continue
-        lower = gauge_lower_bound(cartan, CartanElement(*key[1:]))
+        lower = gauge_lower_bound(cartan, cartan.element(key))
         for budget in (d - 1, d, d + 2):
             if budget < lower:
                 continue

@@ -1,6 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horocalc.errors import DegenerateInputError, ParseError
 from horocalc.metric import projected_polytope
@@ -39,6 +42,31 @@ def test_polygon_construction(h1):
     )
     assert len(hexagon) == 6
     assert hexagon.vertices[0] == (1, 0)
+
+
+def _cross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(half=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=12))
+def test_from_points_is_the_ccw_hull_from_the_smallest_angle(half):
+    points = half + [(-x, -y) for x, y in half]
+    if all(_cross(p, q) == 0 for p in points for q in points):  # at most a segment
+        with pytest.raises(DegenerateInputError):
+            SymmetricPolygon.from_points(points)
+        return
+    poly = SymmetricPolygon.from_points(points)
+    assert set(poly.vertices) <= set(points)
+    for k in range(1, len(poly) + 1):
+        e, start = poly.edge(k), poly.vertex(k - 1)
+        assert all(_cross(e, (p[0] - start[0], p[1] - start[1])) >= 0 for p in points)
+        assert _cross(e, poly.edge(k + 1)) > 0
+
+    def angle(v):
+        return math.atan2(v[1], v[0]) % (2 * math.pi)
+
+    assert angle(poly.vertices[0]) == min(angle(v) for v in poly.vertices)
 
 
 def test_polygon_validation():
