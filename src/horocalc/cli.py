@@ -534,7 +534,20 @@ def cmd_selftest(args):
     from .groups import cartan_word_element, marked_heisenberg
     from .metric import _bidirectional_search, gauge_lower_bound, length_within, word_length
     from .metric import ball as _ball
-    from .reference import brute_force_anagram_offsets, brute_force_detour_pairings, naive_ball
+    from .reference import (
+        brute_force_anagram_offsets,
+        brute_force_detour_pairings,
+        naive_ball,
+        naive_horofn_eval,
+    )
+    from .subfinsler import (
+        Mixed,
+        NonVertical,
+        SymmetricPolygon,
+        Vertical,
+        auto_polygon,
+        horofn_eval,
+    )
     from .winding import cartan_path_oracle
 
     rng = random.Random(args.seed)
@@ -630,6 +643,20 @@ def cmd_selftest(args):
                 res = length_within(G, g, upper)
                 ok &= (res.status, res.length) == ("exact", d)
     checks["length_within_vs_ball"] = ok
+
+    ok = True
+    # every class on the auto square and a rational hexagon, integer rows against Fractions
+    hexagon = SymmetricPolygon([(1, 0), ("2/3", 1), ("-1/2", "3/4"), (-1, 0), ("-2/3", -1),
+                                ("1/2", "-3/4")])
+    points = [(x, y) for x in range(-5, 6) for y in range(-5, 6)]
+    for poly in (auto_polygon(h1), hexagon):
+        classes, r = [Vertical()], Fraction(1, 3)
+        for k in range(1, len(poly) + 1):
+            classes.append(NonVertical(k, r))
+            classes += [Mixed(k, r, o, v) for o in ("le", "ge") for v in (1, 2)]
+        ok &= all(horofn_eval(poly, cls, p) == naive_horofn_eval(poly, cls, p)
+                  for cls in classes for p in points)
+    checks["horofn_eval_vs_naive"] = ok
 
     passed = all(checks.values())
     _emit(args, {"passed": passed, "checks": checks}, None, {})

@@ -3,14 +3,16 @@
 These deliberately avoid the optimized code paths: a plain FIFO breadth-first
 search for distances and Busemann scans, permutation brute force and a
 one-lattice set DP for anagram offsets, a region-boundary walk for digitized
-rays, and a depth-first enumeration of Cartan words for the lower audit. The
-self-test suite and the test suite compare them against the production
+rays, a depth-first enumeration of Cartan words for the lower audit, and the
+sub-Finsler classes straight from their Fraction formulas. The self-test
+suite and the test suite compare them against the production
 implementations.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 from typing import Sequence
 
 from .groups import MarkedGroup, standard_group
@@ -174,3 +176,39 @@ def brute_force_detour_pairings(target, u_perp, n: int, max_length: int) -> dict
         if k < max_length:
             stack.extend((g * s, k + 1) for s in gens)
     return dict(sorted(out.items()))
+
+
+def omega(v: Sequence, w: Sequence) -> Fraction:
+    """omega((a,b),(a',b')) = a'b - ab'."""
+    a, b = Fraction(v[0]), Fraction(v[1])
+    a2, b2 = Fraction(w[0]), Fraction(w[1])
+    return a2 * b - a * b2
+
+
+def naive_horofn_eval(polygon, cls, point: Sequence) -> Fraction:
+    """A sub-Finsler boundary class at (v, c), in Fractions from the vertex list.
+
+    alpha_k(v) = omega(e_k, v) / omega(e_k, v_k) is formed on every call from
+    ``polygon.vertex`` and ``polygon.edge``, never from the polygon's integer
+    rows; c is ignored.
+    """
+    from .subfinsler import Mixed, NonVertical, Vertical, check_class
+
+    check_class(polygon, cls)
+    v = (Fraction(point[0]), Fraction(point[1]))
+
+    def alpha(k):
+        e = polygon.edge(k)
+        return omega(e, v) / omega(e, polygon.vertex(k))
+
+    if isinstance(cls, Vertical):
+        return -max(alpha(k) for k in range(1, len(polygon) + 1))
+    r = Fraction(cls.r)
+    if isinstance(cls, NonVertical):
+        return r * alpha(cls.k) + (1 - r) * alpha(cls.k - 1)
+    if isinstance(cls, Mixed):
+        side = omega(polygon.vertex(cls.i), v)
+        if side <= 0 if cls.orientation == "le" else side >= 0:
+            return alpha(cls.i if cls.variant == 1 else cls.i - 1)
+        return r * alpha(cls.i) + (1 - r) * alpha(cls.i - 1)
+    raise ValueError(f"unknown class {cls!r}")

@@ -182,6 +182,7 @@ def test_selftest_passes(capsys):
     doc = run_json(capsys, "selftest")
     assert doc["result"]["passed"] is True
     assert all(doc["result"]["checks"].values())
+    assert "horofn_eval_vs_naive" in doc["result"]["checks"]
 
 
 def test_cartan_audit_cli(capsys):
@@ -215,6 +216,48 @@ def test_subfinsler_cli(capsys):
                    "--compare", "central", "--window", "4")
     comp = doc["result"]["comparison"]
     assert comp["max_abs_diff_by_radius"][0] == 0
+
+
+@pytest.mark.parametrize("polygon", [
+    "[[2,0],[-1,1],[0,-2],[1,1],[-2,0],[1,-1],[0,2],[-1,-1]]",
+    '[[1,0],["1/4","1/4"],[0,1],[-1,0],["-1/4","-1/4"],[0,-1]]',
+], ids=["octagram", "reflex"])
+def test_a_polygon_not_convex_or_not_traversed_once_exits_2(capsys, polygon):
+    assert main(["subfinsler", "--polygon", polygon, "--class", "vertical",
+                 "--fingerprint", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "horocalc: vertices are not a convex polygon traversed once counterclockwise\n"
+
+
+HEXAGON = '[[1,0],["2/3",1],["-1/2","3/4"],[-1,0],["-2/3",-1],["1/2","-3/4"]]'
+
+# sha256 of stdout, taken before the classes were evaluated in integers
+SUBFINSLER_DIGESTS = {
+    ("auto", "vertical"): "33722844b728584ceee61c56382a463bc561c3907902f4c16250edb2dfad516f",
+    ("auto", "nonvertical:1,1/2"):
+        "883a494c9afd52312263609c9842bebc5e1cca67cd1204171f3f31847d1bf01b",
+    ("auto", "mixed:2,1/2,ge"): "6a697e2a2c9764891776a5f6c5741b4150ca8edc39116fdcebcdffcef4d6c0d8",
+    (HEXAGON, "vertical"): "5a7e26a01a624d6d4ac64d6103f36b84257098d8bde09daf11486a00befbbe85",
+    (HEXAGON, "nonvertical:1,1/2"):
+        "2b85ec31a9fbaddd26824cdb70438cc366135fbe981d3aafac50f8478e2341d4",
+    (HEXAGON, "mixed:2,1/2,ge"): "d83af945a966d4082fbc479931afc1310047dfc8b02edb7488b44c53dc755059",
+}
+
+
+@pytest.mark.parametrize("polygon, cls", SUBFINSLER_DIGESTS,
+                         ids=lambda value: "hexagon" if value == HEXAGON else value)
+def test_subfinsler_fingerprint_reports_are_pinned(capsys, polygon, cls):
+    code, out = run(capsys, "subfinsler", "--polygon", polygon, "--class", cls,
+                    "--fingerprint", "8")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SUBFINSLER_DIGESTS[polygon, cls]
+
+
+def test_subfinsler_comparison_report_is_pinned(capsys):
+    code, out = run(capsys, "subfinsler", "--compare", "central", "--window", "6")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3c3623c2b99ad6368b74bd0de9a791c97f85cf4b4d842cc96a9a1a47a87516ff")
 
 
 def test_ball_state_cap(capsys):

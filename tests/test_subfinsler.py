@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from horocalc.errors import DegenerateInputError, ParseError
+from horocalc.horoboundary import horofn_window
 from horocalc.metric import projected_polytope
 from horocalc.subfinsler import (
     Mixed,
@@ -15,11 +17,11 @@ from horocalc.subfinsler import (
     auto_polygon,
     class_fingerprint,
     discrete_vs_continuous,
+    _sequence_word,
     horofn_eval,
-    omega,
     seam_scan,
 )
-from horocalc.reference import naive_ball
+from horocalc.reference import naive_ball, naive_horofn_eval, omega
 
 
 def test_omega_values(rng):
@@ -76,6 +78,96 @@ def test_polygon_validation():
         SymmetricPolygon([(1, 0), (0, 1), (-1, 0), (0, 1)])
     with pytest.raises(DegenerateInputError):
         SymmetricPolygon([(0, 1), (1, 0), (0, -1), (-1, 0)])  # clockwise
+
+
+# The octagram passes the symmetry, area and edge checks but winds three times;
+# the hexagon has a reflex vertex at (1/4, 1/4).
+NOT_CONVEX_ONCE = {
+    "octagram": [(2, 0), (-1, 1), (0, -2), (1, 1), (-2, 0), (1, -1), (0, 2), (-1, -1)],
+    "reflex": [(1, 0), ("1/4", "1/4"), (0, 1), (-1, 0), ("-1/4", "-1/4"), (0, -1)],
+}
+
+
+@pytest.mark.parametrize("vertices", NOT_CONVEX_ONCE.values(), ids=NOT_CONVEX_ONCE)
+def test_a_polygon_not_convex_or_not_traversed_once_is_refused(vertices):
+    with pytest.raises(DegenerateInputError, match="convex polygon traversed once"):
+        SymmetricPolygon(vertices)
+
+
+_COORD = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _polygons(draw):
+    """A convex symmetric polygon with rational vertices, starting at any vertex."""
+    half = draw(st.lists(st.tuples(_COORD, _COORD), min_size=2, max_size=6))
+    try:
+        vertices = SymmetricPolygon.from_points(half + [(-x, -y) for x, y in half]).vertices
+    except DegenerateInputError:  # at most a segment
+        assume(False)
+    start = draw(st.integers(0, len(vertices) - 1))
+    return SymmetricPolygon(vertices[start:] + vertices[:start])
+
+
+@st.composite
+def _classes(draw, poly):
+    k = draw(st.integers(1, len(poly)))
+    r = draw(st.fractions(min_value=0, max_value=1, max_denominator=6))
+    return draw(st.sampled_from([Vertical(), NonVertical(k, r)]
+                                + [Mixed(k, r, o, v) for o in ("le", "ge") for v in (1, 2)]))
+
+
+def _points(poly):
+    """Int points with or without c, Fraction points, and points on a seam line."""
+    fraction = st.fractions(-20, 20, max_denominator=9)
+    return st.one_of(
+        st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+        st.tuples(st.integers(-20, 20), st.integers(-20, 20), st.integers(-99, 99)),
+        st.tuples(fraction, fraction),
+        st.builds(lambda t, k: (t * poly.vertex(k)[0], t * poly.vertex(k)[1]),
+                  st.integers(-6, 6), st.integers(1, len(poly))),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_horofn_eval_equals_the_fraction_formula(data):
+    poly = data.draw(_polygons())
+    cls = data.draw(_classes(poly))
+    for point in data.draw(st.lists(_points(poly), min_size=1, max_size=8)):
+        value = horofn_eval(poly, cls, point)
+        assert type(value) is Fraction
+        assert value == naive_horofn_eval(poly, cls, point)
+        for k in range(1, len(poly) + 1):
+            e = poly.edge(k)
+            assert poly.alpha(k, point) == omega(e, point) / omega(e, poly.vertex(k))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), radius=st.integers(0, 4))
+def test_class_fingerprint_equals_the_fraction_formula(h1, data, radius):
+    poly = data.draw(_polygons())
+    cls = data.draw(_classes(poly))
+    expected = tuple((key, naive_horofn_eval(poly, cls, key[1:]))
+                     for key in sorted(naive_ball(h1, radius)))
+    assert class_fingerprint(h1, poly, cls, radius) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), radius=st.integers(0, 4),
+       sequence=st.sampled_from(["central", "vertex:x", "vertex:y~", "edge:x,y,2,1"]),
+       n=st.one_of(st.none(), st.integers(0, 3)))
+def test_discrete_vs_continuous_equals_the_fraction_formula(h1, data, radius, sequence, n):
+    poly = data.draw(_polygons())
+    cls = data.draw(_classes(poly))
+    rep = discrete_vs_continuous(h1, poly, cls, sequence, n=n, radius=radius)
+    window, _ = horofn_window(h1, _sequence_word(h1, sequence, rep.n), radius)
+    sphere_max = [Fraction(0)] * (radius + 1)
+    for key, d in naive_ball(h1, radius).items():
+        gap = abs(window.values[key] - naive_horofn_eval(poly, cls, key[1:]))
+        sphere_max[d] = max(sphere_max[d], gap)
+    assert rep.max_abs_diff_by_radius == list(accumulate(sphere_max, max))
+    assert all(type(v) is Fraction for v in rep.max_abs_diff_by_radius)
 
 
 def test_alpha_identities(h1, rng):
