@@ -3,29 +3,22 @@
 The cube-root laws are audited, not proven: reports fit the smallest
 constants admissible over the feasible range and expose the per-step data.
 All element bookkeeping runs in the scaled integer coordinates of
-CartanElement, and the lower audit is an exact dynamic program over
-lattice endpoints instead of an enumeration of words.
+CartanElement. The lower audit is an exact dynamic program over lattice
+endpoints instead of an enumeration of words; the upper audit's
+|h . ray_n| - n is the Busemann scan of h^-1 along the digitized ray,
+read from one ``busemann_eval``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import BudgetExceededError, DegenerateInputError
 from .groups import Word, standard_group
-from .horoboundary import STANDARD_GRID, DigitizedRay, busemann_eval, ray_elements
-from .metric import DEFAULT_STATE_CAP, length_within
-
-
-def _reduced(u: tuple[int, int]) -> tuple[int, int]:
-    a, b = u
-    if (a, b) == (0, 0):
-        raise DegenerateInputError("direction must be nonzero")
-    g = math.gcd(abs(a), abs(b))
-    return (a // g, b // g)
+from .horoboundary import STANDARD_GRID, DigitizedRay, busemann_eval, ray_prefix
+from .metric import DEFAULT_STATE_CAP
 
 
 @dataclass(frozen=True)
@@ -42,7 +35,7 @@ class DirectionFrame:
 
     @staticmethod
     def from_direction(u: tuple[int, int]) -> "DirectionFrame":
-        a, b = _reduced(u)
+        a, b = DigitizedRay(u).direction
         if a == 0 or b == 0:
             parity = "axis"
         elif a % 2 == 1 and b % 2 == 1:
@@ -141,7 +134,7 @@ def bound_audit_lower(u: tuple[int, int], n: int, delta_max: int) -> LowerAuditR
         )
 
     group = standard_group("cartan")
-    gamma = ray_elements(group, DigitizedRay(frame.u), n)[-1]
+    gamma = group.evaluate(ray_prefix(DigitizedRay(frame.u), n))
     ref6 = perp_pairing6(gamma, frame.u_perp)
     buckets = detour_pairings(gamma.endpoint, frame.u_perp, n, n + delta_max)
     per_delta = [
@@ -184,11 +177,11 @@ def bound_audit_upper(
 ) -> UpperAuditReport:
     """Measure |h . ray_n| - n and fit the cube-root upper-bound constant.
 
-    The audited inequality is diff <= C2 * cbrt(max(<B(h); u_perp>, 0) +
-    |A(h)|) + C2; for both-odd directions the improved form drops the |A(h)|
-    term. Row n's length is at most n + |h_word| and at most the previous
-    row's length plus the letters between the two rows; ``length_within``
-    searches below the smaller bound, so only the state cap stops the scan
+    |h . ray_n| - n is the Busemann scan of h^-1 along the digitized ray, so
+    one ``busemann_eval`` up to the largest n proves every row; each step
+    searches below its triangle bound. The audited inequality is diff <= C2 *
+    cbrt(max(<B(h); u_perp>, 0) + |A(h)|) + C2; for both-odd directions the
+    improved form drops the |A(h)| term. Only the state cap stops the scan
     early; the report is then a prefix with ``complete`` false. A largest
     n + |h_word| above AUDIT_MAX_LENGTH raises before any work.
     """
@@ -207,21 +200,16 @@ def bound_audit_upper(
     pairing = Fraction(perp_pairing6(h, frame.u_perp), 6)
     area = h.area
 
-    rows = []
-    complete = True
-    spec = DigitizedRay(frame.u)
-    prefix_elems = ray_elements(group, spec, n_max)
-    diff = len(h_word)  # |h ray_n| - n is at most |h| and never grows with n
-    for n in sorted(n_values):
-        g = h * prefix_elems[n]
-        res = length_within(group, g, n + diff, state_cap)
-        if not res.exact:
-            complete = False
-            break
-        diff = res.length - n
-        rows.append({"n": n, "length": res.length, "diff": diff})
-        if res.length < n:
-            raise AssertionError("length below the abelianized gauge (hard bug)")
+    values = []  # |h . ray_n| - n for n = 0..reached
+    if n_values:
+        try:
+            values = busemann_eval(group, DigitizedRay(frame.u), group.invert_word(h_word),
+                                   n_max, state_cap=state_cap).values
+        except BudgetExceededError:  # the cap stopped the search for |h|
+            pass
+    complete = not n_values or len(values) > n_max
+    rows = [{"n": n, "length": values[n] + n, "diff": values[n]}
+            for n in sorted(n_values) if n < len(values)]
 
     q_general = float(max(pairing, 0) + abs(area))
     q_improved = float(max(pairing, 0))
@@ -327,8 +315,8 @@ def distinctness_witness(
         v_final = ev.value
         v_cert = ev.certified
     return DistinctnessReport(
-        u=_reduced(u),
-        v=_reduced(v),
+        u=DigitizedRay(u).direction,
+        v=DigitizedRay(v).direction,
         witness_b=b,
         h_word=h_word,
         powers=list(powers),

@@ -8,6 +8,7 @@ identical. Exit codes: 0 ok, 2 typed domain error, 3 budget, 4 parse.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -158,35 +159,33 @@ def write_ball_jsonl(table: DistanceTable, path: Path) -> None:
     """Write the ball atomically: a temp file in the same directory, then os.replace.
 
     The header records the entry count and a SHA-256 digest of the record
-    lines, so a truncated or edited file is detected on read. The digest is
-    known only after the records, so the header is first written with a
-    placeholder of the same width and then overwritten in place. A path
-    that cannot be written raises ParseError and leaves no temp file.
+    lines, so a truncated or edited file is detected on read. The records
+    are formatted as one body string, hashed, and written after the header
+    in one pass; each line is the ``json.dumps(..., sort_keys=True)`` of its
+    record. A path that cannot be written raises ParseError and leaves no
+    temp file.
     """
+    entries = table.entries
+    tags = {key[0]: json.dumps(key[0]) for key in entries}
+
+    def record(key):
+        coords = ", ".join([tags[key[0]], *map(str, key[1:])])
+        return f'{{"dist": {entries[key]}, "key": [{coords}]}}\n'
+
+    body = "".join(map(record, sorted(entries)))
     header = {"schema": SCHEMA, "kind": "ball-cache", "group_hash": table.group_hash,
-              "radius": table.radius, "count": len(table), "digest": "0" * 64}
-    digest = hashlib.sha256()
+              "radius": table.radius, "count": len(table),
+              "digest": hashlib.sha256(body.encode()).hexdigest()}
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        fh = open(tmp, "w")
-    except OSError as exc:  # no temp file was made
-        raise _unwritable(path, exc) from exc
-    try:
-        with fh:
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-            for key in sorted(table.entries):
-                line = json.dumps({"key": list(key), "dist": table.entries[key]},
-                                  sort_keys=True) + "\n"
-                digest.update(line.encode())
-                fh.write(line)
-            header["digest"] = digest.hexdigest()
-            fh.seek(0)
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
+        with open(tmp, "w") as fh:
+            fh.write(json.dumps(header, sort_keys=True) + "\n" + body)
         os.replace(tmp, path)
     except OSError as exc:
         raise _unwritable(path, exc) from exc
-    finally:
-        tmp.unlink(missing_ok=True)
+    finally:  # under a path that is a file, even the unlink of no temp file fails
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
 
 
 def read_ball_jsonl(path: Path, group_hash: str) -> DistanceTable | None:

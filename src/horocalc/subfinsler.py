@@ -86,9 +86,6 @@ class SymmetricPolygon:
         p, q = self.row(k)
         return Fraction(p * v[0] + q * v[1], self.denominator)
 
-    def gauge(self, v: Sequence) -> Fraction:
-        return Fraction(max(p * v[0] + q * v[1] for p, q in self.rows), self.denominator)
-
     @staticmethod
     def from_points(points: Sequence[Sequence]) -> "SymmetricPolygon":
         """Convex hull of a symmetric planar point set, ordered CCW.

@@ -132,8 +132,8 @@ def test_bound_audit_upper_rejects_negative_lengths():
 
 
 def test_bound_audit_upper_length_cap(monkeypatch):
-    # n + |h| = 101 raises before the ray is built or any length is searched
-    monkeypatch.setattr(cartan, "ray_elements", None)
+    # n + |h| = 101 raises before the scan starts or any length is searched
+    monkeypatch.setattr(cartan, "busemann_eval", None)
     with pytest.raises(BudgetExceededError):
         bound_audit_upper((1, 1), parse_word("x y x~ y~"), [2, AUDIT_MAX_LENGTH - 3])
 
@@ -200,6 +200,53 @@ def test_bound_audit_upper_gaps_between_rows():
     group = standard_group("cartan")
     naive = naive_busemann_values(group, DigitizedRay(rep.direction), parse_word("y x y~ x~"), 6)
     assert [r["diff"] for r in rep.rows] == [naive[2], naive[5], naive[6]]
+
+
+def _expanded_by_audit(monkeypatch, u, h_word, n_values):
+    """States expanded by every word_length search of one upper audit."""
+    total = 0
+    search = metric.word_length
+
+    def counted(*args, **kwargs):
+        nonlocal total
+        res = search(*args, **kwargs)
+        total += res.expanded
+        return res
+
+    with monkeypatch.context() as patch:
+        patch.setattr(metric, "word_length", counted)
+        assert bound_audit_upper(u, h_word, n_values).complete
+    return total
+
+
+def test_bound_audit_upper_gaps_cost_no_more_than_the_full_scan(monkeypatch):
+    # a row after a gap is one more scan step, not one deep search below a loose bound
+    h_word = parse_word("x x y x~ x~ y~")
+    gapped = _expanded_by_audit(monkeypatch, (1, 2), h_word, [2, 30])
+    full = _expanded_by_audit(monkeypatch, (1, 2), h_word, range(2, 31))
+    assert gapped <= full
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    u=st.sampled_from([(1, 1), (1, 2), (-2, 1), (3, -1)]),
+    h_word=st.sampled_from(["x y x~ y~", "x x y x~ x~ y~", "y x y~ x~ x~ y~ x y"]),
+    n_values=st.lists(st.integers(0, 14), max_size=4),
+    state_cap=st.integers(1, 400),
+)
+def test_bound_audit_upper_capped_rows_are_a_prefix(u, h_word, n_values, state_cap):
+    h_word = parse_word(h_word)
+    full = bound_audit_upper(u, h_word, n_values)
+    capped = bound_audit_upper(u, h_word, n_values, state_cap=state_cap)
+    assert full.complete
+    assert capped.rows == full.rows[:len(capped.rows)]
+    assert capped.complete == (len(capped.rows) == len(full.rows))
+
+
+def test_bound_audit_upper_empty_range_searches_nothing(monkeypatch):
+    monkeypatch.setattr(cartan, "busemann_eval", None)
+    rep = bound_audit_upper((1, 1), parse_word("x y x~ y~"), [])
+    assert (rep.rows, rep.complete, rep.fitted_c2) == ([], True, None)
 
 
 def test_bound_audit_upper_mixed_parity_no_improved():

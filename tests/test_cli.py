@@ -169,6 +169,28 @@ def test_ball_jsonl_export(tmp_path, capsys):
     assert len(lines) - 1 == doc["result"]["size"] == 13
 
 
+# sha256 of the ball files, taken while the writer rewrote a placeholder header
+BALL_FILE_DIGESTS = {
+    ("h1", "4"): "a3addb2c07322511ec57d1b6ce3f5d09a24c0b62d606352b13bbb8683bf2ccbe",
+    ("cartan", "3"): "63cf3960308dca847a0a46855ff87ce702473e0ae5334e089b48c852e7ec7e2a",
+}
+
+
+@pytest.mark.parametrize("group, radius", BALL_FILE_DIGESTS)
+def test_ball_cache_files_are_pinned(tmp_path, capsys, group, radius):
+    run_json(capsys, "ball", "--group", group, "--radius", radius, "--cache", str(tmp_path))
+    (path,) = tmp_path.iterdir()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == BALL_FILE_DIGESTS[group, radius]
+
+
+def test_ball_jsonl_export_is_pinned(tmp_path, capsys):
+    out = tmp_path / "ball.jsonl"
+    run_json(capsys, "ball", "--group", "z2", "--radius", "2", "--out", str(out),
+             "--format", "jsonl")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "2912de4402b0c64a26a154191f2b4705bf94848e094f5fdbc329cf6efe0e60c8")
+
+
 def test_deterministic_reports(capsys):
     _, out1 = run(capsys, "census", "--group", "h1", "--seed", "5")
     _, out2 = run(capsys, "census", "--group", "h1", "--seed", "5")
@@ -201,6 +223,25 @@ def test_cartan_audit_csv(tmp_path, capsys):
     rows = out.read_text().splitlines()
     assert rows[0].startswith("delta,")
     assert len(rows) >= 3
+
+
+# sha256 of stdout, taken while the upper audit kept its own length loop
+UPPER_AUDIT_DIGESTS = {
+    ("1,1",): "53c0f24b9a890e6341839eff9f12940b86d3592b397864156adfe30961856e1a",
+    ("1,2", "--element", "x x y x~ x~ y~", "--n-range", "2,5,6"):
+        "4a222951308832f83d6a2d9d7ce426e0b1b1b22a90e3d8207d3179804eb50332",
+    ("1,1", "--n-range", "0..8"):
+        "44d37386007abfac48c29509d3834b8ba9b7c26406f56c55ceed7cb7e5a1897f",
+    ("1,1", "--state-cap", "1"): "27c292fc60a667a9ca9672ba530014e9b28a7bd31640901072690787d319e968",
+    ("1,1", "--format", "csv"): "4908631f733f828355a49f6b531735864795a60b486c1614c7eb1acb32e46cc3",
+}
+
+
+@pytest.mark.parametrize("argv", UPPER_AUDIT_DIGESTS, ids=" ".join)
+def test_upper_audit_reports_are_pinned(capsys, argv):
+    code, out = run(capsys, "cartan-audit", "--audit", "upper", "--direction", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == UPPER_AUDIT_DIGESTS[argv]
 
 
 def test_distinctness_cli(capsys):
