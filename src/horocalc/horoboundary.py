@@ -360,30 +360,52 @@ def _compare_rays(
     slack: int,
     state_cap: int,
 ) -> ComparisonResult:
+    """For each n <= N the least m <= M at which both switching checks hold.
+
+    Check 0 at (n, m) asks d(ray1_m, ray2_n) <= m - n + slack, check 1 the
+    same with the rays swapped. Along each ray consecutive elements are one
+    step apart, so d(ray_m, ray'_n) - (m - n) never grows with m and never
+    falls with n: a check that holds at (n, m) holds at every larger m, and
+    one that fails at (n, m) fails at every larger n and smaller m. The walk
+    keeps start[i], the least m at which check i is not proved false, from
+    one n to the next; each n begins at max(n, *start), a check that holds
+    is not searched again at this n, and only a proved ``exceeds_budget``
+    moves start[i]. Without an ``inconclusive`` search that is at most
+    2(N + M) length queries, and the m found is the least at which both
+    hold. The ray elements count against ``state_cap`` before any work.
+    """
     if n_max < 1 or m_max < n_max:
         raise DegenerateInputError(f"need 1 <= n_max <= m_max, got {n_max} and {m_max}")
+    if 2 * (m_max + 1) > state_cap:
+        raise BudgetExceededError(
+            f"m_max {m_max} needs 2(m_max + 1) = {2 * (m_max + 1)} ray elements, "
+            f"more than the state cap of {state_cap}")
     validate_ray(group, spec1, m_max, state_cap=state_cap)
     validate_ray(group, spec2, m_max, state_cap=state_cap)
     g1 = ray_elements(group, spec1, m_max)
     g2 = ray_elements(group, spec2, m_max)
+    checks = ((g1, g2), (g2, g1))
+    start = [1, 1]
     witnesses = []
     capped = False
     for n in range(1, n_max + 1):
-        found = None
-        for m in range(n, m_max + 1):
-            for a, b in ((g1[m], g2[n]), (g2[m], g1[n])):
-                res = word_length(group, a.inverse() * b, budget=m - n + slack,
-                                  state_cap=state_cap)
-                capped |= res.status == "inconclusive"
-                if not res.exact:
-                    break
-            else:
-                found = m
-                break
-        if found is None:
+        m, known = max(n, *start), [False, False]
+        while m <= m_max and not all(known):
+            i = known.index(False)
+            ray, other = checks[i]
+            res = word_length(group, ray[m].inverse() * other[n], budget=m - n + slack,
+                              state_cap=state_cap)
+            if res.exact:
+                known[i] = True
+                continue
+            capped |= res.status == "inconclusive"
+            if res.status == "exceeds_budget":
+                start[i] = m + 1
+            m += 1
+        if not all(known):
             status = "inconclusive" if capped else "not_found"
             return ComparisonResult(status, witnesses, n, m_max, slack, failing_n=n)
-        witnesses.append((n, found))
+        witnesses.append((n, m))
     return ComparisonResult("verified", witnesses, n_max, m_max, slack)
 
 

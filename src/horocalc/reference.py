@@ -1,12 +1,12 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately avoid the optimized code paths: a plain FIFO breadth-first
-search for distances and Busemann scans, permutation brute force and a
-one-lattice set DP for anagram offsets, a region-boundary walk for digitized
-rays, a depth-first enumeration of Cartan words for the lower audit, and the
-sub-Finsler classes straight from their Fraction formulas. The self-test
-suite and the test suite compare them against the production
-implementations.
+search for distances, Busemann scans and switching comparisons, permutation
+brute force and a one-lattice set DP for anagram offsets, a region-boundary
+walk for digitized rays, a depth-first enumeration of Cartan words for the
+lower audit, and the sub-Finsler classes straight from their Fraction
+formulas. The self-test suite and the test suite compare them against the
+production implementations.
 """
 
 from __future__ import annotations
@@ -50,6 +50,35 @@ def naive_busemann_values(group: MarkedGroup, spec, word: Sequence[str], horizon
         g = g * group.generator(letter)
         values.append(dist[g.key()] - n)
     return values
+
+
+def naive_compare_rays(group: MarkedGroup, spec1, spec2, n_max: int, m_max: int, slack: int):
+    """The switching comparison by a plain scan of every (n, m), distances from one naive ball.
+
+    For each n <= n_max, the least m in [n, m_max] with d(ray1_m, ray2_n) and
+    d(ray2_m, ray1_n) both at most m - n + slack. Every budget is at most
+    m_max - 1 + slack, so an element outside the ball of that radius exceeds
+    it; ray elements are plain products of the rays' letters. There is no
+    state cap, so the status is ``verified`` or ``not_found``.
+    """
+    from .horoboundary import ComparisonResult
+
+    dist = naive_ball(group, m_max - 1 + slack)
+    g1, g2 = ([group.evaluate(spec.letters(m)) for m in range(m_max + 1)]
+              for spec in (spec1, spec2))
+
+    def holds(n: int, m: int) -> bool:
+        budget = m - n + slack
+        return all(dist.get((a[m].inverse() * b[n]).key(), budget + 1) <= budget
+                   for a, b in ((g1, g2), (g2, g1)))
+
+    witnesses = []
+    for n in range(1, n_max + 1):
+        found = next((m for m in range(n, m_max + 1) if holds(n, m)), None)
+        if found is None:
+            return ComparisonResult("not_found", witnesses, n, m_max, slack, failing_n=n)
+        witnesses.append((n, found))
+    return ComparisonResult("verified", witnesses, n_max, m_max, slack)
 
 
 def brute_force_anagram_offsets(group: MarkedGroup, word: Sequence[str]) -> set[int]:

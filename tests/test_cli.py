@@ -244,6 +244,41 @@ def test_upper_audit_reports_are_pinned(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == UPPER_AUDIT_DIGESTS[argv]
 
 
+# sha256 of stdout, taken while each comparison scanned every (n, m) in turn
+COMPARE_RAYS_DIGESTS = {
+    ("--group", "h1", "--ray1", '{"digitized":[1,2]}', "--ray2", '{"digitized":[2,1]}',
+     "--criterion", "switch1b", "--n-max", "8", "--m-max", "40"):
+        "8147275acbc88732b08ffb8ada3467b7b5a97c250593923cc62831979ed5ef09",
+    ("--group", "z2", "--ray1", '{"periodic":{"block":"y x"}}',
+     "--ray2", '{"periodic":{"block":"x y~"}}', "--n-max", "6", "--m-max", "36"):
+        "2308d39450ed2074d3bae65ca812eefb7d13e3ba12b7312c22efbf0b4f71cd66",
+    ("--group", "cartan", "--ray1", '{"digitized":[1,1]}', "--ray2", '{"digitized":[-1,-1]}',
+     "--criterion", "switch2b", "--slack", "2"):
+        "40c9c78aa81c79302dcaf45acc19b63c8756b67cb78e5a40b05fa4346a794009",
+}
+
+
+@pytest.mark.parametrize("argv", COMPARE_RAYS_DIGESTS, ids=["h1-verified", "z2-not-found",
+                                                            "cartan-slack-2"])
+def test_compare_rays_reports_are_pinned(capsys, argv):
+    code, out = run(capsys, "compare-rays", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == COMPARE_RAYS_DIGESTS[argv]
+
+
+def test_compare_rays_refuses_more_ray_elements_than_the_state_cap(capsys):
+    # --m-max 100000 would build 200,002 ray elements and make 100,000 length queries
+    start = time.perf_counter()
+    assert main(["compare-rays", "--group", "z2", "--ray1", '{"periodic":{"block":"x"}}',
+                 "--ray2", '{"periodic":{"block":"y"}}', "--n-max", "1", "--m-max", "100000",
+                 "--state-cap", "10"]) == 3
+    assert time.perf_counter() - start < 0.5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("horocalc: budget exceeded: m_max 100000 needs 2(m_max + 1) = 200002 ray "
+                   "elements, more than the state cap of 10\n")
+
+
 def test_distinctness_cli(capsys):
     doc = run_json(capsys, "distinctness", "--u=-1,-1", "--v=1,1",
                    "--horizon", "6")

@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from horocalc import horoboundary, metric
@@ -29,7 +29,12 @@ from horocalc.horoboundary import (
     validate_ray,
 )
 from horocalc.metric import LengthResult, ball, geodesic_certificate_by_face, word_length
-from horocalc.reference import brute_force_digitized, naive_ball, naive_busemann_values
+from horocalc.reference import (
+    brute_force_digitized,
+    naive_ball,
+    naive_busemann_values,
+    naive_compare_rays,
+)
 
 
 def test_ray_prefix_periodic():
@@ -256,6 +261,152 @@ def test_reduced_equiv(z2, cartan):
     assert res.status == "not_found"
     with pytest.raises(DegenerateInputError):
         reduced_equiv(z2, spec, other, -1, 2, 4)
+
+
+# Largest radius of the naive ball a comparison is checked against, m_max - 1 + slack.
+NAIVE_COMPARE_RADII = {"z2": 9, "h1": 9, "cartan": 7}
+
+
+@st.composite
+def comparisons(draw):
+    """(group, ray1, ray2, n_max, m_max, slack): periodic rays on z2, digitized on h1 and cartan.
+
+    A z2 ray's letters lie in one quadrant, so it is geodesic. Half the cases
+    put both rays in one quadrant, where the criterion can be verified.
+    """
+    name = draw(st.sampled_from(sorted(NAIVE_COMPARE_RADII)))
+    signs = st.tuples(st.sampled_from([1, -1]), st.sampled_from([1, -1]))
+    shared = draw(signs) if draw(st.booleans()) else None
+
+    def ray():
+        sx, sy = shared or draw(signs)
+        if name != "z2":
+            a, b = draw(st.tuples(st.integers(0, 3), st.integers(0, 3))
+                        .filter(lambda u: u != (0, 0)))
+            return DigitizedRay((sx * a, sy * b))
+        letters = ("x" if sx > 0 else "x~", "y" if sy > 0 else "y~")
+        return PeriodicRay(tuple(draw(st.lists(st.sampled_from(letters), max_size=3))),
+                           tuple(draw(st.lists(st.sampled_from(letters), min_size=1, max_size=3))))
+
+    spec1, spec2 = ray(), ray()
+    slack = draw(st.integers(0, 2))
+    n_max = draw(st.integers(1, 3))
+    m_max = draw(st.integers(n_max, min(8, NAIVE_COMPARE_RADII[name] + 1 - slack)))
+    return standard_group(name), spec1, spec2, n_max, m_max, slack
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=comparisons())
+@example(case=(standard_group("z2"), PeriodicRay(("x",), ("y~",)),
+               PeriodicRay(("y~", "x", "x"), ("x", "x", "y~")), 2, 2, 0))
+@example(case=(standard_group("h1"), DigitizedRay((-3, 2)), DigitizedRay((-1, 1)), 3, 6, 0))
+def test_comparisons_equal_the_naive_scan(case):
+    group, spec1, spec2, n_max, m_max, slack = case
+    expected = naive_compare_rays(group, spec1, spec2, n_max, m_max, slack)
+    assert reduced_equiv(group, spec1, spec2, slack, n_max, m_max) == expected
+    if slack == 0:
+        assert same_busemann(group, spec1, spec2, n_max, m_max) == expected
+
+
+class _Tagged:
+    """A ray element that keeps (ray, time) through ``inverse`` and products."""
+
+    def __init__(self, elem, tag):
+        self.elem, self.tag = elem, tag
+
+    def inverse(self):
+        return _Tagged(self.elem.inverse(), self.tag)
+
+    def __mul__(self, other):
+        return _Tagged(self.elem * other.elem, (self.tag, other.tag))
+
+
+def _record_length_queries(monkeypatch):
+    """Patch horoboundary so the returned list gets (n, check, status) per length query.
+
+    The rays' elements are tagged with (ray, time); check 0 asks
+    d(ray1_m, ray2_n), check 1 d(ray2_m, ray1_n).
+    """
+    queries, rays = [], []
+    elements, length = horoboundary.ray_elements, horoboundary.word_length
+
+    def tagged_elements(group, spec, n):
+        rays.append(spec)
+        return [_Tagged(g, (len(rays) - 1, t)) for t, g in enumerate(elements(group, spec, n))]
+
+    def recorded(group, g, budget, state_cap):
+        (check, _), (_, n) = g.tag
+        res = length(group, g.elem, budget, state_cap)
+        queries.append((n, check, res.status))
+        return res
+
+    monkeypatch.setattr(horoboundary, "ray_elements", tagged_elements)
+    monkeypatch.setattr(horoboundary, "word_length", recorded)
+    return queries
+
+
+@pytest.mark.parametrize("name, spec1, spec2, n_max, m_max, slack, calls", [
+    ("z2", PeriodicRay((), ("y", "x")), PeriodicRay((), ("x", "y~")), 6, 36, 0, 37),
+    ("z2", PeriodicRay((), ("x", "y")), PeriodicRay((), ("y", "x")), 3, 12, 0, 8),
+    ("h1", DigitizedRay((1, 2)), DigitizedRay((2, 1)), 8, 40, 0, 43),
+    ("cartan", DigitizedRay((1, 1)), DigitizedRay((-1, -1)), 6, 30, 2, 31),
+], ids=["z2-not-found", "z2-verified", "h1-verified", "cartan-slack"])
+def test_comparisons_prove_each_check_once_per_n(monkeypatch, name, spec1, spec2, n_max, m_max,
+                                                 slack, calls):
+    # a check that holds at (n, m) holds at every larger m, and one that fails at (n, m) fails
+    # at every larger n and smaller m: at most 2(N + M) queries, each check exact once per n
+    queries = _record_length_queries(monkeypatch)
+    reduced_equiv(standard_group(name), spec1, spec2, slack, n_max, m_max)
+    assert len(queries) == calls <= 2 * (n_max + m_max)
+    exact = [(n, check) for n, check, status in queries if status == "exact"]
+    assert len(exact) == len(set(exact))
+    assert all(status != "inconclusive" for *_, status in queries)
+
+
+def _naive_checks_hold(group, spec1, spec2, n, m, slack):
+    dist = naive_ball(group, m - n + slack)
+    r1, r2 = (group.evaluate(spec.letters(m)) for spec in (spec1, spec2))
+    s1, s2 = (group.evaluate(spec.letters(n)) for spec in (spec1, spec2))
+    return all((a.inverse() * b).key() in dist for a, b in ((r1, s2), (r2, s1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=comparisons(), spare=st.integers(0, 30))
+@example(case=(standard_group("h1"), DigitizedRay((1, 3)), DigitizedRay((3, 2)), 3, 4, 2), spare=6)
+def test_capped_comparisons_are_sound(case, spare):
+    # the cap is spare states above the 2(M + 1) ray elements; the example hits it at n = 2
+    group, spec1, spec2, n_max, m_max, slack = case
+    uncapped = reduced_equiv(group, spec1, spec2, slack, n_max, m_max)
+    state_cap = 2 * (m_max + 1) + spare
+    statuses = []
+    real = horoboundary.word_length
+
+    def recorded(*args, **kwargs):
+        res = real(*args, **kwargs)
+        statuses.append(res.status)
+        return res
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(horoboundary, "word_length", recorded)
+        res = reduced_equiv(group, spec1, spec2, slack, n_max, m_max, state_cap=state_cap)
+    if res.status == "verified":
+        assert all(_naive_checks_hold(group, spec1, spec2, n, m, slack) for n, m in res.witnesses)
+    if "inconclusive" not in statuses:
+        assert res == uncapped
+    elif res.status != "verified":
+        assert res.status == "inconclusive"
+
+
+def test_comparisons_charge_the_ray_elements_to_the_state_cap(monkeypatch, z2):
+    # 2(M + 1) ray elements over the cap raise before any ray is checked or built
+    spec = PeriodicRay((), ("x",))
+    assert same_busemann(z2, spec, spec, 1, 4, state_cap=10).status == "verified"
+    monkeypatch.setattr(horoboundary, "validate_ray", None)
+    monkeypatch.setattr(horoboundary, "ray_elements", None)
+    with pytest.raises(BudgetExceededError, match="more than the state cap of 10"):
+        same_busemann(z2, spec, spec, 1, 100_000, state_cap=10)
+    with pytest.raises(BudgetExceededError):
+        reduced_equiv(z2, spec, spec, 1, 1, 5, state_cap=11)
 
 
 def test_cofinal_witness(z2, h1):
