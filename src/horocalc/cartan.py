@@ -11,6 +11,7 @@ read from one ``busemann_eval``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -75,6 +76,12 @@ def central_with_barycenter(b: tuple[int, int]) -> tuple:
 AUDIT_MAX_LENGTH = 100  # fail-closed cap on the word lengths the audits and scans reach
 
 
+def _within_cap(limited_to: str, length: int) -> None:
+    """Raise BudgetExceededError when ``length`` passes AUDIT_MAX_LENGTH."""
+    if length > AUDIT_MAX_LENGTH:
+        raise BudgetExceededError(f"{limited_to} <= {AUDIT_MAX_LENGTH}, got {length}")
+
+
 def detour_pairings(target, u_perp, n: int, max_length: int) -> dict[int, tuple[int, int]]:
     """length -> (max <6B; u_perp>, word count) over the words ending at target.
 
@@ -128,10 +135,7 @@ def bound_audit_lower(u: tuple[int, int], n: int, delta_max: int) -> LowerAuditR
     frame = DirectionFrame.from_direction(u)
     if n < 0 or delta_max < 0:
         raise DegenerateInputError(f"n and delta must be nonnegative, got {n} and {delta_max}")
-    if n + delta_max > AUDIT_MAX_LENGTH:
-        raise BudgetExceededError(
-            f"lower audit limited to n + delta <= {AUDIT_MAX_LENGTH}, got {n + delta_max}"
-        )
+    _within_cap("lower audit limited to n + delta", n + delta_max)
 
     group = standard_group("cartan")
     gamma = group.evaluate(ray_prefix(DigitizedRay(frame.u), n))
@@ -190,9 +194,7 @@ def bound_audit_upper(
     if n_min < 0:
         raise DegenerateInputError(f"ray lengths must be nonnegative, got {n_min}")
     h_word = tuple(h_word)
-    if n_max + len(h_word) > AUDIT_MAX_LENGTH:
-        raise BudgetExceededError(f"upper audit limited to n + |h| <= {AUDIT_MAX_LENGTH}, "
-                                  f"got {n_max + len(h_word)}")
+    _within_cap("upper audit limited to n + |h|", n_max + len(h_word))
     group = standard_group("cartan")
     h = group.evaluate(h_word)
     if h.abelianized() != (0, 0):
@@ -256,12 +258,18 @@ class DistinctnessReport:
 
 def pick_witness_barycenter(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
     """Smallest (l-infinity, then lexicographic) b with <-b; u_perp> > 0 and
-    <-b; v_perp> <= 0."""
+    <-b; v_perp> <= 0.
+
+    Two distinct directions always have one, but the central word of b has
+    2(|b1| + |b2|) + 8 >= 2k + 8 letters on shell k, so the search stops at
+    the first shell whose words all pass AUDIT_MAX_LENGTH.
+    """
     fu = DirectionFrame.from_direction(u)
     fv = DirectionFrame.from_direction(v)
     if fu.u == fv.u:
         raise DegenerateInputError("directions coincide; no separating barycenter exists")
-    for k in range(1, 64):
+    for k in itertools.count(1):
+        _within_cap("distinctness witness search limited to shells k with 2k + 8", 2 * k + 8)
         shell = sorted(
             (bx, by)
             for bx in range(-k, k + 1)
@@ -273,7 +281,6 @@ def pick_witness_barycenter(u: tuple[int, int], v: tuple[int, int]) -> tuple[int
             sv = -(b[0] * fv.u_perp[0] + b[1] * fv.u_perp[1])
             if su > 0 and sv <= 0:
                 return b
-    raise AssertionError("no witness barycenter found in a huge window (hard bug)")
 
 
 def distinctness_witness(
@@ -296,10 +303,7 @@ def distinctness_witness(
     group = standard_group("cartan")
     b = pick_witness_barycenter(u, v)
     _, h_word = central_with_barycenter(b)
-    longest = _extremes(powers)[1] * len(h_word)
-    if longest > AUDIT_MAX_LENGTH:
-        raise BudgetExceededError(f"distinctness scan limited to power * |h| <= "
-                                  f"{AUDIT_MAX_LENGTH}, got {longest}")
+    _within_cap("distinctness scan limited to power * |h|", _extremes(powers)[1] * len(h_word))
     u_vals: dict[int, list[int]] = {}
     v_vals: dict[int, list[int]] = {}
     u_min = None
@@ -373,10 +377,8 @@ def stabilizer_escape(
     if m * pairing <= 0:
         raise DegenerateInputError("m must point the translated barycenter against u_perp")
     h_word = ("x", "y", "x~", "y~", "x~", "y~", "x", "y")
-    longest = abs(m) * len(g_word) + len(h_word) * _extremes(powers)[1]
-    if longest > AUDIT_MAX_LENGTH:
-        raise BudgetExceededError(f"stabilizer scan limited to |g^-m| + |h| * power <= "
-                                  f"{AUDIT_MAX_LENGTH}, got {longest}")
+    _within_cap("stabilizer scan limited to |g^-m| + |h| * power",
+                abs(m) * len(g_word) + len(h_word) * _extremes(powers)[1])
     gm_word = g_word * m if m > 0 else group.invert_word(g_word) * (-m)
     gm_inv_word = group.invert_word(gm_word)
     spec = DigitizedRay(frame.u)

@@ -63,8 +63,6 @@ def face_labels(group: MarkedGroup, face: Face) -> list[str]:
 
 
 def _is_commutative_face(group: MarkedGroup, labels: Sequence[str]) -> bool:
-    if group.kind == "abelian":
-        return True
     gens = [group.generator(label) for label in labels]
     for i, g in enumerate(gens):
         for h in gens[i + 1 :]:

@@ -36,8 +36,6 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (frozenset, set)):
-        return sorted(_jsonable(v) for v in obj)
     if hasattr(obj, "__dataclass_fields__"):
         return {k: _jsonable(getattr(obj, k)) for k in obj.__dataclass_fields__}
     return obj

@@ -80,32 +80,19 @@ class DigitizedRay:
         if g != 1:
             object.__setattr__(self, "direction", (a // g, b // g))
 
+    def _quadrant(self) -> dict[str, str]:
+        """The first-quadrant letters x, y spelled in this direction's quadrant."""
+        a, b = self.direction
+        return {"x": "x" if a >= 0 else "x~", "y": "y" if b >= 0 else "y~"}
+
     def letters(self, n: int) -> Word:
         a, b = self.direction
-        flip_x = a < 0
-        flip_y = b < 0
-        letters = _first_quadrant_staircase(abs(a), abs(b), n)
-        out = []
-        for s in letters:
-            if flip_x and s in ("x", "x~"):
-                s = "x~" if s == "x" else "x"
-            if flip_y and s in ("y", "y~"):
-                s = "y~" if s == "y" else "y"
-            out.append(s)
-        return tuple(out)
+        spell = self._quadrant()
+        return tuple(spell[s] for s in _first_quadrant_staircase(abs(a), abs(b), n))
 
     def tail_letters(self) -> frozenset[str]:
-        a, b = self.direction
-        out = set()
-        if a > 0:
-            out.add("x")
-        elif a < 0:
-            out.add("x~")
-        if b > 0:
-            out.add("y")
-        elif b < 0:
-            out.add("y~")
-        return frozenset(out)
+        spell = self._quadrant()
+        return frozenset(spell[s] for s, c in zip("xy", self.direction) if c)
 
     def describe(self) -> dict:
         return {"digitized": list(self.direction), "tie_rule": "alternate-start-below"}
@@ -270,21 +257,15 @@ def busemann_eval(
     else:
         lower = -prev
 
-    values = [prev]
-    g = group.identity
-    letters = ray_prefix(spec, horizon)
-    exhausted = False
-    reached = 0
-    for n in range(1, horizon + 1):
-        g = g * group.generator(letters[n - 1])
-        res = length_within(group, hinv * g, n + prev, state_cap)
+    values = [prev]  # values[n] = |x_n| - n for x_n = h^-1 ray_n = x_{n-1} s_n
+    x = hinv
+    for letter in ray_prefix(spec, horizon):
+        x = x * group.generator(letter)
+        res = length_within(group, x, len(values) + values[-1], state_cap)
         if not res.exact:
-            exhausted = True
             break
-        a_n = res.length - n
-        values.append(a_n)
-        prev = a_n
-        reached = n
+        values.append(res.length - len(values))
+    reached, prev = len(values) - 1, values[-1]
     if reached >= pref_len and prev < lower:
         raise AssertionError(f"Busemann value {prev} fell below the gauge bound {lower}")
     stable = 0
@@ -300,7 +281,7 @@ def busemann_eval(
         lower_bound=lower,
         certified=(reached >= pref_len and prev == lower),
         values=values,
-        exhausted=exhausted,
+        exhausted=reached < horizon,
     )
 
 

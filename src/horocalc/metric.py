@@ -184,16 +184,7 @@ def _abelian_step(s: AbelianElement) -> Step:
 
 def _heisenberg_step(s: HeisenbergElement) -> Step:
     """(a, b, c)(s_a, s_b, s_c) = (a + s_a, b + s_b, c + s_c + a.s_b): affine in the key."""
-    sc = s.c
-    if len(s.a) == 1:
-        (sa,), (sb,) = s.a, s.b
-
-        def step(k):
-            _, a, b, c = k
-            return ("h", a + sa, b + sb, c + sc + a * sb)
-
-        return step
-    ab, sb, stop = s.a + s.b, s.b, 1 + len(s.a)
+    sc, ab, sb, stop = s.c, s.a + s.b, s.b, 1 + len(s.a)
     return lambda k: ("h", *map(add, k[1:-1], ab), k[-1] + sc + sum(map(mul, k[1:stop], sb)))
 
 
@@ -218,8 +209,8 @@ _STEP_MAKERS = {"abelian": _abelian_step, "heisenberg": _heisenberg_step, "carta
 def _step_fns(group: MarkedGroup) -> tuple[Step, ...]:
     """Right multiplication by each generator, in label order, as a map on keys.
 
-    Rank-2 abelian groups and H_1 (any generating set) get steps specialised to
-    their rank; every other rank uses the generic step of its kind.
+    Rank-2 abelian groups get a step specialised to their rank; every other
+    marking uses the generic step of its kind.
     """
     make = _STEP_MAKERS[group.kind]
     return tuple(make(s) for _, s in group.generator_items())

@@ -266,6 +266,16 @@ def test_pick_witness_barycenter():
         pick_witness_barycenter((1, 1), (2, 2))
 
 
+def test_witness_search_stops_at_the_first_shell_past_the_audit_cap():
+    # the central word of b has 2(|b1| + |b2|) + 8 letters, at least 2k + 8 on shell k
+    assert pick_witness_barycenter((47, 1), (46, 1)) == (-46, -1)
+    with pytest.raises(BudgetExceededError, match="power \\* \\|h\\| <= 100, got 102"):
+        distinctness_witness((47, 1), (46, 1), horizon=4)
+    for u, v in (((48, 1), (47, 1)), ((100, 99), (99, 98))):
+        with pytest.raises(BudgetExceededError, match="2k \\+ 8 <= 100, got 102"):
+            pick_witness_barycenter(u, v)
+
+
 def test_distinctness_witness_small():
     rep = distinctness_witness((-1, -1), (1, 1), powers=(1,), horizon=8)
     assert rep.witness_b == (-1, 0)

@@ -16,9 +16,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import horocalc
-from horocalc.cli import _parse_range, main
+from horocalc.cartan import stabilizer_escape
+from horocalc.cli import _jsonable, _parse_range, main
 from horocalc.errors import ParseError
 from horocalc.groups import full_coordinates, group_from_json, standard_group
+from horocalc.metric import DEFAULT_STATE_CAP
 from horocalc.reference import brute_force_anagram_offsets, naive_ball
 
 
@@ -93,6 +95,12 @@ def test_ray_and_geodesic_cli(capsys):
     assert doc["result"]["face_certified"] is False
 
 
+@pytest.mark.parametrize("word, face", [("x y x y", [[0, 1], [1, 0]]), ("", None)])
+def test_geodesic_check_reports_the_certifying_face(capsys, word, face):
+    res = run_json(capsys, "geodesic-check", "--group", "h1", "--word", word)["result"]
+    assert (res["geodesic"], res["face_certified"], res["face"]) == (True, True, face)
+
+
 def test_ball_cache_roundtrip(tmp_path, capsys):
     doc = run_json(capsys, "ball", "--group", "h1", "--radius", "4",
                    "--cache", str(tmp_path))
@@ -157,6 +165,33 @@ def test_ball_cache_records_of_the_wrong_type_are_recomputed(tmp_path, capsys, f
     path.write_text(json.dumps(header, sort_keys=True) + "\n" + "".join(records))
     res = run_json(capsys, *argv)["result"]
     assert (res["cache"], res["size"]) == ("invalid", len(naive_ball(standard_group("h1"), 2)))
+
+
+@pytest.mark.parametrize("field, value", [("group_hash", "0" * 64), ("kind", "ball")])
+def test_ball_cache_header_for_another_group_or_kind_is_recomputed(tmp_path, capsys, field,
+                                                                    value):
+    argv = ("ball", "--group", "h1", "--radius", "3", "--cache", str(tmp_path))
+    assert run_json(capsys, *argv)["result"]["cache"] == "miss"
+    (path,) = tmp_path.iterdir()
+    header, body = path.read_text().split("\n", 1)
+    header = json.loads(header)
+    header[field] = value  # count and digest still match the body
+    path.write_text(json.dumps(header, sort_keys=True) + "\n" + body)
+    res = run_json(capsys, *argv)["result"]
+    assert (res["cache"], res["size"]) == ("invalid", len(naive_ball(standard_group("h1"), 3)))
+
+
+def test_larger_cached_ball_answers_smaller_radii(tmp_path, capsys):
+    cache = ("--cache", str(tmp_path))
+    assert run_json(capsys, "ball", "--group", "h1", "--radius", "6", *cache)["result"][
+        "cache"] == "miss"
+    for radius in ("4", "5"):
+        fresh = run_json(capsys, "ball", "--group", "h1", "--radius", radius)["result"]
+        res = run_json(capsys, "ball", "--group", "h1", "--radius", radius, *cache)["result"]
+        assert res["cache"] == "hit"
+        assert (res["radius"], res["size"], res["sphere_sizes"]) == (
+            fresh["radius"], fresh["size"], fresh["sphere_sizes"])
+    assert len(list(tmp_path.iterdir())) == 1  # a hit writes no file
 
 
 def test_ball_jsonl_export(tmp_path, capsys):
@@ -285,6 +320,15 @@ def test_distinctness_cli(capsys):
     rep = doc["result"]["distinctness"]
     assert rep["witness_b"] == [-1, 0]
     assert rep["u_min_value"] >= 1
+
+
+def test_stabilizer_cli_reports_the_escape_scan(capsys):
+    doc = run_json(capsys, "stabilizer", "--u", "1,1", "--element", "x", "--powers", "0,1",
+                   "--horizon", "6")
+    rep = stabilizer_escape((1, 1), ("x",), powers=[0, 1], horizon=6)
+    assert doc["result"]["stabilizer_escape"] == json.loads(json.dumps(_jsonable(rep)))
+    assert doc["budgets"] == {"complete": True, "horizon": 6, "state_cap": DEFAULT_STATE_CAP}
+    assert rep.gaps == {0: 0, 1: 2}
 
 
 def test_subfinsler_cli(capsys):
@@ -846,6 +890,35 @@ def test_fuzzed_arguments_never_end_in_a_traceback(argv):
         if res["radius"] <= NAIVE_BALL_RADII[name]:
             spheres = _naive_spheres(name)[: res["radius"] + 1]
             assert (res["size"], res["sphere_sizes"]) == (sum(spheres), spheres), argv
+
+
+_FAR = st.integers(-200, 200)
+# half the pairs are one small step apart: nearly parallel directions separate only at a
+# far barycenter, whose central word may pass the 100-letter cap
+_FAR_PAIR = st.tuples(_FAR, _FAR).flatmap(lambda u: st.tuples(st.just(u), st.one_of(
+    st.tuples(_FAR, _FAR),
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any).map(
+        lambda d: (u[0] + d[0], u[1] + d[1])),
+)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=_FAR_PAIR, horizon=st.integers(0, 3), state_cap=st.integers(1, 5000))
+@example(pair=((100, 99), (99, 98)), horizon=2, state_cap=5000)
+def test_distinctness_of_far_directions_ends_in_a_report_or_one_line(pair, horizon, state_cap):
+    (u, v) = pair
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["distinctness", f"--u={u[0]},{u[1]}", f"--v={v[0]},{v[1]}",
+                     f"--horizon={horizon}", f"--state-cap={state_cap}"])
+    assert code in (0, 2, 3), (pair, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert err.getvalue() == ""
+        assert json.loads(out.getvalue())["result"]["distinctness"]["powers"] == [1]
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), err.getvalue()
 
 
 @st.composite
