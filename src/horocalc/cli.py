@@ -529,12 +529,14 @@ def cmd_selftest(args):
     from .cartan import detour_pairings
     from .classifier import anagram_set
     from .groups import cartan_word_element, marked_heisenberg
+    from .horoboundary import DigitizedRay, PeriodicRay, reduced_equiv
     from .metric import _bidirectional_search, gauge_lower_bound, length_within, word_length
     from .metric import ball as _ball
     from .reference import (
         brute_force_anagram_offsets,
         brute_force_detour_pairings,
         naive_ball,
+        naive_compare_rays,
         naive_horofn_eval,
     )
     from .subfinsler import (
@@ -654,6 +656,26 @@ def cmd_selftest(args):
         ok &= all(horofn_eval(poly, cls, p) == naive_horofn_eval(poly, cls, p)
                   for cls in classes for p in points)
     checks["horofn_eval_vs_naive"] = ok
+
+    ok = True
+    # the switching walk against the plain scan of every (n, m), on rays in one quadrant
+    for G in (standard_group("z2"), h1):
+        for _ in range(4):
+            sx, sy = rng.choice((1, -1)), rng.choice((1, -1))
+            if G.kind == "abelian":
+                quadrant = ("x" if sx > 0 else "x~", "y" if sy > 0 else "y~")
+                s1, s2 = (PeriodicRay(tuple(rng.choices(quadrant, k=rng.randint(0, 2))),
+                                      tuple(rng.choices(quadrant, k=rng.randint(1, 3))))
+                          for _ in range(2))
+            else:
+                s1, s2 = (DigitizedRay((sx * rng.randint(1, 3), sy * rng.randint(0, 3)))
+                          for _ in range(2))
+            n_max = rng.randint(1, 3)
+            m_max = rng.randint(n_max, 8)
+            for slack in (0, 1):
+                ok &= (reduced_equiv(G, s1, s2, slack, n_max, m_max)
+                       == naive_compare_rays(G, s1, s2, n_max, m_max, slack))
+    checks["compare_rays_vs_naive"] = ok
 
     passed = all(checks.values())
     _emit(args, {"passed": passed, "checks": checks}, None, {})

@@ -215,7 +215,7 @@ class MarkedGroup:
 
     # -- basics --------------------------------------------------------
 
-    @property
+    @cached_property
     def identity(self) -> GroupElement:
         if self.kind == "abelian":
             return AbelianElement((0,) * self.params)

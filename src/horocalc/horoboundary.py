@@ -175,14 +175,6 @@ def validate_ray(group: MarkedGroup, spec: RaySpec, horizon: int,
     raise SpecNotGeodesicError(f"{spec} is not geodesic within horizon {horizon}")
 
 
-def ray_elements(group: MarkedGroup, spec: RaySpec, n: int) -> list[GroupElement]:
-    """Elements of the ray at times 0..n."""
-    out = [group.identity]
-    for letter in ray_prefix(spec, n):
-        out.append(out[-1] * group.generator(letter))
-    return out
-
-
 def _exact_norm(group: MarkedGroup, h: GroupElement | Sequence[str], norm_budget: int | None,
                 state_cap: int) -> tuple[GroupElement, int]:
     """The element h (a word, or an element with ``norm_budget``) and its exact |h|.
@@ -348,12 +340,13 @@ def _compare_rays(
     step apart, so d(ray_m, ray'_n) - (m - n) never grows with m and never
     falls with n: a check that holds at (n, m) holds at every larger m, and
     one that fails at (n, m) fails at every larger n and smaller m. The walk
-    keeps start[i], the least m at which check i is not proved false, from
-    one n to the next; each n begins at max(n, *start), a check that holds
-    is not searched again at this n, and only a proved ``exceeds_budget``
-    moves start[i]. Without an ``inconclusive`` search that is at most
-    2(N + M) length queries, and the m found is the least at which both
-    hold. The ray elements count against ``state_cap`` before any work.
+    keeps start[i], the least m at which check i is not proved false; each n
+    begins at max(n, *start), a check that holds is not searched again at
+    this n, and only a proved ``exceeds_budget`` moves start[i]. Check i
+    moves E = ray_m^-1 ray'_n one product per step: right by s'_{n+1}, left
+    by s_{m+1}^-1 or back by s_m. Only an ``inconclusive`` search steps m
+    back; without one that is at most 2(N + M) queries and products. The
+    2(M + 1) charged to ``state_cap`` first are the rays' letters and two E.
     """
     if n_max < 1 or m_max < n_max:
         raise DegenerateInputError(f"need 1 <= n_max <= m_max, got {n_max} and {m_max}")
@@ -363,9 +356,10 @@ def _compare_rays(
             f"more than the state cap of {state_cap}")
     validate_ray(group, spec1, m_max, state_cap=state_cap)
     validate_ray(group, spec2, m_max, state_cap=state_cap)
-    g1 = ray_elements(group, spec1, m_max)
-    g2 = ray_elements(group, spec2, m_max)
-    checks = ((g1, g2), (g2, g1))
+    words = (ray_prefix(spec1, m_max), ray_prefix(spec2, m_max))
+    gens = [[group.generator(letter) for letter in word] for word in words]
+    invs = [[group.generator(group.inverse_of_label(letter)) for letter in word] for word in words]
+    walk = [(group.identity, 0, 0), (group.identity, 0, 0)]  # (E, m, n) of each check
     start = [1, 1]
     witnesses = []
     capped = False
@@ -373,9 +367,15 @@ def _compare_rays(
         m, known = max(n, *start), [False, False]
         while m <= m_max and not all(known):
             i = known.index(False)
-            ray, other = checks[i]
-            res = word_length(group, ray[m].inverse() * other[n], budget=m - n + slack,
-                              state_cap=state_cap)
+            e, em, en = walk[i]
+            for k in range(en, n):
+                e = e * gens[1 - i][k]
+            for k in range(em, m):
+                e = invs[i][k] * e
+            for k in range(em, m, -1):
+                e = gens[i][k - 1] * e
+            walk[i] = e, m, n
+            res = word_length(group, e, budget=m - n + slack, state_cap=state_cap)
             if res.exact:
                 known[i] = True
                 continue

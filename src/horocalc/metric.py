@@ -622,7 +622,7 @@ def letter_face(group: MarkedGroup, letters: Iterable[str]) -> Face | None:
     IMPROPER when the abelianized letters lie on no proper face. This is the
     one lookup behind face certificates, Busemann gauge bounds and orbit keys.
     """
-    pts = {group.generator(letter).abelianized() for letter in letters}
+    pts = {group.generator(letter).abelianized() for letter in set(letters)}
     return projected_polytope(group).minimal_face_of_points(list(pts))
 
 

@@ -20,7 +20,7 @@ from horocalc.cartan import (
 )
 from horocalc.errors import BudgetExceededError, DegenerateInputError
 from horocalc.groups import parse_word, standard_group
-from horocalc.horoboundary import DigitizedRay, ray_elements
+from horocalc.horoboundary import DigitizedRay
 from horocalc.metric import LengthResult
 from horocalc.reference import brute_force_detour_pairings, naive_busemann_values
 from horocalc.winding import cartan_path_oracle
@@ -113,7 +113,7 @@ def test_detour_pairings_match_the_word_enumeration(u, n, data):
     delta_max = data.draw(st.integers(0, 10 - n), label="delta_max")
     frame = DirectionFrame.from_direction(u)
     group = standard_group("cartan")
-    target = ray_elements(group, DigitizedRay(frame.u), n)[-1].endpoint
+    target = group.evaluate(DigitizedRay(frame.u).letters(n)).endpoint
     dp = detour_pairings(target, frame.u_perp, n, n + delta_max)
     assert dp == brute_force_detour_pairings(target, frame.u_perp, n, n + delta_max)
     l1 = abs(target[0]) + abs(target[1])

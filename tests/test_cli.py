@@ -239,7 +239,7 @@ def test_selftest_passes(capsys):
     doc = run_json(capsys, "selftest")
     assert doc["result"]["passed"] is True
     assert all(doc["result"]["checks"].values())
-    assert "horofn_eval_vs_naive" in doc["result"]["checks"]
+    assert {"horofn_eval_vs_naive", "compare_rays_vs_naive"} <= set(doc["result"]["checks"])
 
 
 def test_cartan_audit_cli(capsys):

@@ -22,7 +22,6 @@ from horocalc.horoboundary import (
     cofinal_orbit_witness,
     horofn_window,
     lift_ray,
-    ray_elements,
     ray_prefix,
     reduced_equiv,
     same_busemann,
@@ -308,59 +307,132 @@ def test_comparisons_equal_the_naive_scan(case):
         assert same_busemann(group, spec1, spec2, n_max, m_max) == expected
 
 
-class _Tagged:
-    """A ray element that keeps (ray, time) through ``inverse`` and products."""
-
-    def __init__(self, elem, tag):
-        self.elem, self.tag = elem, tag
-
-    def inverse(self):
-        return _Tagged(self.elem.inverse(), self.tag)
-
-    def __mul__(self, other):
-        return _Tagged(self.elem * other.elem, (self.tag, other.tag))
+def _ray_elements(group, spec, m_max):
+    return [group.evaluate(spec.letters(t)) for t in range(m_max + 1)]
 
 
-def _record_length_queries(monkeypatch):
+def _query_keys(group, spec1, spec2, n_max, m_max):
+    """{(n, check, m): key of the element check ``check`` queries at (n, m)}.
+
+    Check 0 asks d(ray1_m, ray2_n), check 1 d(ray2_m, ray1_n).
+    """
+    rays = [_ray_elements(group, spec, m_max) for spec in (spec1, spec2)]
+    return {(n, check, m): (rays[check][m].inverse() * rays[1 - check][n]).key()
+            for n in range(1, n_max + 1) for check in (0, 1) for m in range(n, m_max + 1)}
+
+
+def _record_length_queries(monkeypatch, group, spec1, spec2, n_max, m_max, slack):
     """Patch horoboundary so the returned list gets (n, check, status) per length query.
 
-    The rays' elements are tagged with (ray, time); check 0 asks
-    d(ray1_m, ray2_n), check 1 d(ray2_m, ray1_n).
+    Without an ``inconclusive`` search the walk asks in increasing (n, check, m),
+    so each query is attributed to the least (n, check, m) after the previous
+    one whose element key and budget m - n + slack it has.
     """
-    queries, rays = [], []
-    elements, length = horoboundary.ray_elements, horoboundary.word_length
-
-    def tagged_elements(group, spec, n):
-        rays.append(spec)
-        return [_Tagged(g, (len(rays) - 1, t)) for t, g in enumerate(elements(group, spec, n))]
+    keys, queries, last = _query_keys(group, spec1, spec2, n_max, m_max), [], [(0, 0, 0)]
+    length = horoboundary.word_length
 
     def recorded(group, g, budget, state_cap):
-        (check, _), (_, n) = g.tag
-        res = length(group, g.elem, budget, state_cap)
-        queries.append((n, check, res.status))
+        last[0] = min(t for t, key in keys.items()
+                      if t > last[0] and key == g.key() and t[2] - t[0] + slack == budget)
+        res = length(group, g, budget, state_cap)
+        queries.append((last[0][0], last[0][1], res.status))
         return res
 
-    monkeypatch.setattr(horoboundary, "ray_elements", tagged_elements)
     monkeypatch.setattr(horoboundary, "word_length", recorded)
     return queries
 
 
-@pytest.mark.parametrize("name, spec1, spec2, n_max, m_max, slack, calls", [
+WALK_CASES = [
     ("z2", PeriodicRay((), ("y", "x")), PeriodicRay((), ("x", "y~")), 6, 36, 0, 37),
     ("z2", PeriodicRay((), ("x", "y")), PeriodicRay((), ("y", "x")), 3, 12, 0, 8),
     ("h1", DigitizedRay((1, 2)), DigitizedRay((2, 1)), 8, 40, 0, 43),
     ("cartan", DigitizedRay((1, 1)), DigitizedRay((-1, -1)), 6, 30, 2, 31),
-], ids=["z2-not-found", "z2-verified", "h1-verified", "cartan-slack"])
+]
+WALK_IDS = ["z2-not-found", "z2-verified", "h1-verified", "cartan-slack"]
+
+
+@pytest.mark.parametrize("name, spec1, spec2, n_max, m_max, slack, calls", WALK_CASES,
+                         ids=WALK_IDS)
 def test_comparisons_prove_each_check_once_per_n(monkeypatch, name, spec1, spec2, n_max, m_max,
                                                  slack, calls):
     # a check that holds at (n, m) holds at every larger m, and one that fails at (n, m) fails
     # at every larger n and smaller m: at most 2(N + M) queries, each check exact once per n
-    queries = _record_length_queries(monkeypatch)
-    reduced_equiv(standard_group(name), spec1, spec2, slack, n_max, m_max)
+    group = standard_group(name)
+    queries = _record_length_queries(monkeypatch, group, spec1, spec2, n_max, m_max, slack)
+    reduced_equiv(group, spec1, spec2, slack, n_max, m_max)
     assert len(queries) == calls <= 2 * (n_max + m_max)
     exact = [(n, check) for n, check, status in queries if status == "exact"]
     assert len(exact) == len(set(exact))
     assert all(status != "inconclusive" for *_, status in queries)
+
+
+@pytest.mark.parametrize("name, spec1, spec2, n_max, m_max, slack, calls", WALK_CASES,
+                         ids=WALK_IDS)
+def test_comparisons_make_one_product_per_walk_step(monkeypatch, name, spec1, spec2, n_max,
+                                                    m_max, slack, calls):
+    # each check moves its running element one product per step of n or m, and without an
+    # inconclusive search m never steps back: at most N + M products per check
+    group = standard_group(name)
+    element_type, products = type(group.identity), []
+    mul = element_type.__mul__
+
+    def counted(g, h):
+        products.append(1)
+        return mul(g, h)
+
+    monkeypatch.setattr(element_type, "__mul__", counted)
+    res = reduced_equiv(group, spec1, spec2, slack, n_max, m_max)
+    assert res.status != "inconclusive"
+    assert 0 < len(products) <= 2 * (n_max + m_max)
+
+
+def _walk_order(statuses, n_max, m_max):
+    """(n, check, m) of each length query of the switching walk, given the statuses answered."""
+    order, answers, start = [], iter(statuses), [1, 1]
+    for n in range(1, n_max + 1):
+        m, known = max(n, *start), [False, False]
+        while m <= m_max and not all(known):
+            i = known.index(False)
+            order.append((n, i, m))
+            status = next(answers)
+            if status == "exact":
+                known[i] = True
+                continue
+            if status == "exceeds_budget":
+                start[i] = m + 1
+            m += 1
+        if not all(known):
+            break
+    return order
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=comparisons(), capped=st.lists(st.booleans(), max_size=40))
+@example(case=(standard_group("h1"), DigitizedRay((1, 2)), DigitizedRay((2, 1)), 3, 8, 0),
+         capped=[False, True, True, False, False, False, True, True])
+def test_the_running_elements_survive_steps_back(case, capped):
+    # an inconclusive search moves m without moving start[i], so the next n can begin below
+    # the last m a check queried; its running element then steps back one product per step
+    group, spec1, spec2, n_max, m_max, slack = case
+    keys = _query_keys(group, spec1, spec2, n_max, m_max)
+    queried, statuses = [], []
+    length = horoboundary.word_length
+
+    def answered(group, g, budget, state_cap):
+        k = len(queried)
+        queried.append((g.key(), budget))
+        res = length(group, g, budget, state_cap)
+        if k < len(capped) and capped[k]:
+            res = LengthResult("inconclusive", None, res.lower_bound, 0)
+        statuses.append(res.status)
+        return res
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(horoboundary, "word_length", answered)
+        reduced_equiv(group, spec1, spec2, slack, n_max, m_max)
+    order = _walk_order(statuses, n_max, m_max)
+    assert len(order) == len(queried)
+    assert queried == [(keys[n, check, m], m - n + slack) for n, check, m in order]
 
 
 def _naive_checks_hold(group, spec1, spec2, n, m, slack):
@@ -402,7 +474,7 @@ def test_comparisons_charge_the_ray_elements_to_the_state_cap(monkeypatch, z2):
     spec = PeriodicRay((), ("x",))
     assert same_busemann(z2, spec, spec, 1, 4, state_cap=10).status == "verified"
     monkeypatch.setattr(horoboundary, "validate_ray", None)
-    monkeypatch.setattr(horoboundary, "ray_elements", None)
+    monkeypatch.setattr(horoboundary, "ray_prefix", None)
     with pytest.raises(BudgetExceededError, match="more than the state cap of 10"):
         same_busemann(z2, spec, spec, 1, 100_000, state_cap=10)
     with pytest.raises(BudgetExceededError):
@@ -550,7 +622,7 @@ def test_horofn_window_along_geodesic(h1):
     spec = DigitizedRay((1, 2))
     n = 6
     win, elems = horofn_window(h1, list(ray_prefix(spec, n)), radius=3)
-    pts = ray_elements(h1, spec, 3)
+    pts = _ray_elements(h1, spec, 3)
     for k in range(3 + 1):
         assert win.values[pts[k].key()] == -k
     assert win.lipschitz_violations(h1, elems) == []
