@@ -18,7 +18,14 @@ from typing import Sequence
 
 from .errors import BudgetExceededError, DegenerateInputError
 from .groups import Word, standard_group
-from .horoboundary import STANDARD_GRID, DigitizedRay, busemann_eval, ray_prefix
+from .horoboundary import (
+    STANDARD_GRID,
+    DigitizedRay,
+    _busemann_scan,
+    _exact_norm,
+    busemann_eval,
+    ray_prefix,
+)
 from .metric import DEFAULT_STATE_CAP
 
 
@@ -310,9 +317,9 @@ def distinctness_witness(
     v_final = None
     v_cert = False
     for p in powers:
-        word = h_word * p
-        eu = busemann_eval(group, DigitizedRay(u), list(word), horizon, state_cap=state_cap)
-        ev = busemann_eval(group, DigitizedRay(v), list(word), horizon, state_cap=state_cap)
+        elem, norm = _exact_norm(group, h_word * p, None, state_cap)  # one |h^p| for both scans
+        eu = _busemann_scan(group, DigitizedRay(u), elem, norm, horizon, state_cap)
+        ev = _busemann_scan(group, DigitizedRay(v), elem, norm, horizon, state_cap)
         u_vals[p] = eu.values
         v_vals[p] = ev.values
         u_min = eu.value if u_min is None else min(u_min, eu.value)

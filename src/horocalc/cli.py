@@ -675,6 +675,12 @@ def cmd_selftest(args):
             for slack in (0, 1):
                 ok &= (reduced_equiv(G, s1, s2, slack, n_max, m_max)
                        == naive_compare_rays(G, s1, s2, n_max, m_max, slack))
+    # pairs whose walks both prove steps by the gauge and search others
+    for G, d1, d2, slacks in ((h1, (2, 1), (-1, 2), (0, 1)), (ca, (2, 1), (1, 1), (1,))):
+        s1, s2 = DigitizedRay(d1), DigitizedRay(d2)
+        for slack in slacks:
+            ok &= (reduced_equiv(G, s1, s2, slack, 2, 6)
+                   == naive_compare_rays(G, s1, s2, 2, 6, slack))
     checks["compare_rays_vs_naive"] = ok
 
     passed = all(checks.values())

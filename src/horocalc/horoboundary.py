@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from operator import add, sub
 from typing import Sequence
 
 from .errors import (
@@ -22,6 +24,7 @@ from .errors import (
 from .groups import GroupElement, MarkedGroup, Word
 from .metric import (
     DEFAULT_STATE_CAP,
+    _gauge_ceil_fn,
     ball,
     geodesic_certificate_by_face,
     is_geodesic_by_search,
@@ -44,6 +47,8 @@ class PeriodicRay:
     def __post_init__(self):
         if not self.block:
             raise DegenerateInputError("periodic ray needs a nonempty block")
+        object.__setattr__(self, "prefix", tuple(self.prefix))  # hashable, as a plan key
+        object.__setattr__(self, "block", tuple(self.block))
 
     def letters(self, n: int) -> Word:
         if n <= len(self.prefix):
@@ -77,8 +82,7 @@ class DigitizedRay:
         if (a, b) == (0, 0):
             raise DegenerateInputError("digitized direction must be nonzero")
         g = math.gcd(abs(a), abs(b))
-        if g != 1:
-            object.__setattr__(self, "direction", (a // g, b // g))
+        object.__setattr__(self, "direction", (a // g, b // g))
 
     def _quadrant(self) -> dict[str, str]:
         """The first-quadrant letters x, y spelled in this direction's quadrant."""
@@ -140,6 +144,40 @@ def ray_prefix(spec: RaySpec, n: int) -> Word:
     if n < 0:
         raise DegenerateInputError("prefix length must be >= 0")
     return spec.letters(n)
+
+
+class _RayPlan:
+    """One ray's first letters on one marking, with what the scans read of them.
+
+    ``gens[t]`` and ``invs[t]`` are the generator of letter t + 1 and its
+    inverse, and ``sums[t]`` is ab(ray_t), a prefix sum of the letters'
+    abelianized generators. ``extend`` grows the plan to the longest prefix
+    asked; it is kept for the life of the process.
+    """
+
+    def __init__(self, group: MarkedGroup, spec: RaySpec):
+        self.group, self.spec = group, spec
+        self.letters: Word = ()
+        self.gens: list[GroupElement] = []
+        self.invs: list[GroupElement] = []
+        self.sums: list[tuple[int, ...]] = [(0,) * group.abelian_rank]
+
+    def extend(self, n: int) -> _RayPlan:
+        """This plan, holding at least the first n letters."""
+        if n > len(self.letters):
+            group, letters = self.group, ray_prefix(self.spec, n)
+            new = letters[len(self.letters):]
+            self.gens += [group.generator(s) for s in new]  # an unknown label raises here first
+            self.invs += [group.generator(group.inverse_of_label(s)) for s in new]
+            for g in self.gens[len(self.letters):]:
+                self.sums.append(tuple(map(add, self.sums[-1], g.abelianized())))
+            self.letters = letters
+        return self
+
+
+@lru_cache(maxsize=64)
+def _ray_plan(group: MarkedGroup, spec: RaySpec) -> _RayPlan:
+    return _RayPlan(group, spec)
 
 
 def _require_standard_grid(group: MarkedGroup):
@@ -235,24 +273,30 @@ def busemann_eval(
     below it, the bound answers once that search is exhausted, and only the
     state cap stops a scan.
     """
-    elem, prev = _exact_norm(group, h, norm_budget, state_cap)  # value at n = 0
+    elem, norm = _exact_norm(group, h, norm_budget, state_cap)
+    return _busemann_scan(group, spec, elem, norm, horizon, state_cap)
+
+
+def _busemann_scan(group: MarkedGroup, spec: RaySpec, elem: GroupElement, norm: int,
+                   horizon: int, state_cap: int) -> BusemannEstimate:
+    """``busemann_eval`` at an element whose exact length ``norm`` is known."""
     validate_ray(group, spec, horizon, state_cap=state_cap)
     hinv = elem.inverse()
 
     pref_len = len(spec.prefix) if isinstance(spec, PeriodicRay) else 0
+    plan = _ray_plan(group, spec).extend(max(horizon, pref_len))
     face = letter_face(group, spec.tail_letters())
     if face is not IMPROPER:
-        pref = ray_prefix(spec, pref_len)
-        pref_ab = group.evaluate(pref).abelianized()
+        pref_ab = plan.sums[pref_len]
         lb = _functional_value(face, hinv.abelianized()) + _functional_value(face, pref_ab) - pref_len
         lower = math.ceil(lb)
     else:
-        lower = -prev
+        lower = -norm
 
-    values = [prev]  # values[n] = |x_n| - n for x_n = h^-1 ray_n = x_{n-1} s_n
+    values = [norm]  # values[n] = |x_n| - n for x_n = h^-1 ray_n = x_{n-1} s_n
     x = hinv
-    for letter in ray_prefix(spec, horizon):
-        x = x * group.generator(letter)
+    for s in plan.gens[:horizon]:
+        x = x * s
         res = length_within(group, x, len(values) + values[-1], state_cap)
         if not res.exact:
             break
@@ -342,11 +386,16 @@ def _compare_rays(
     one that fails at (n, m) fails at every larger n and smaller m. The walk
     keeps start[i], the least m at which check i is not proved false; each n
     begins at max(n, *start), a check that holds is not searched again at
-    this n, and only a proved ``exceeds_budget`` moves start[i]. Check i
-    moves E = ray_m^-1 ray'_n one product per step: right by s'_{n+1}, left
-    by s_{m+1}^-1 or back by s_m. Only an ``inconclusive`` search steps m
-    back; without one that is at most 2(N + M) queries and products. The
-    2(M + 1) charged to ``state_cap`` first are the rays' letters and two E.
+    this n, and only a proved ``exceeds_budget`` moves start[i]. A step asks
+    the gauge first: ab(E) for E = ray_m^-1 ray'_n is a difference of the
+    rays' abelianized prefix sums, and a gauge above the budget is
+    ``word_length``'s own first answer, so the step makes no product and no
+    search. Only a step the gauge leaves open moves check i's E, from where
+    it was last searched, one product per step: right by s'_{n+1}, left by
+    s_{m+1}^-1 or back by s_m. Only an ``inconclusive`` search steps m back;
+    without one that is at most 2(N + M) steps and products. The 2(M + 1)
+    charged to ``state_cap`` first are the rays' letters, prefix sums and
+    two E.
     """
     if n_max < 1 or m_max < n_max:
         raise DegenerateInputError(f"need 1 <= n_max <= m_max, got {n_max} and {m_max}")
@@ -356,9 +405,8 @@ def _compare_rays(
             f"more than the state cap of {state_cap}")
     validate_ray(group, spec1, m_max, state_cap=state_cap)
     validate_ray(group, spec2, m_max, state_cap=state_cap)
-    words = (ray_prefix(spec1, m_max), ray_prefix(spec2, m_max))
-    gens = [[group.generator(letter) for letter in word] for word in words]
-    invs = [[group.generator(group.inverse_of_label(letter)) for letter in word] for word in words]
+    plans = (_ray_plan(group, spec1).extend(m_max), _ray_plan(group, spec2).extend(m_max))
+    gauge = _gauge_ceil_fn(group)
     walk = [(group.identity, 0, 0), (group.identity, 0, 0)]  # (E, m, n) of each check
     start = [1, 1]
     witnesses = []
@@ -367,20 +415,24 @@ def _compare_rays(
         m, known = max(n, *start), [False, False]
         while m <= m_max and not all(known):
             i = known.index(False)
-            e, em, en = walk[i]
-            for k in range(en, n):
-                e = e * gens[1 - i][k]
-            for k in range(em, m):
-                e = invs[i][k] * e
-            for k in range(em, m, -1):
-                e = gens[i][k - 1] * e
-            walk[i] = e, m, n
-            res = word_length(group, e, budget=m - n + slack, state_cap=state_cap)
-            if res.exact:
+            ray, other, budget = plans[i], plans[1 - i], m - n + slack
+            if gauge(tuple(map(sub, other.sums[n], ray.sums[m]))) > budget:
+                status = "exceeds_budget"  # word_length's own first answer, without E
+            else:
+                e, em, en = walk[i]
+                for k in range(en, n):
+                    e = e * other.gens[k]
+                for k in range(em, m):
+                    e = ray.invs[k] * e
+                for k in range(em, m, -1):
+                    e = ray.gens[k - 1] * e
+                walk[i] = e, m, n
+                status = word_length(group, e, budget=budget, state_cap=state_cap).status
+            if status == "exact":
                 known[i] = True
                 continue
-            capped |= res.status == "inconclusive"
-            if res.status == "exceeds_budget":
+            capped |= status == "inconclusive"
+            if status == "exceeds_budget":
                 start[i] = m + 1
             m += 1
         if not all(known):

@@ -620,9 +620,15 @@ def letter_face(group: MarkedGroup, letters: Iterable[str]) -> Face | None:
     """Minimal proper face of the projected generator hull holding the letters.
 
     IMPROPER when the abelianized letters lie on no proper face. This is the
-    one lookup behind face certificates, Busemann gauge bounds and orbit keys.
+    one lookup behind face certificates, Busemann gauge bounds and orbit keys,
+    memoized per marking and label set.
     """
-    pts = {group.generator(letter).abelianized() for letter in set(letters)}
+    return _letter_face(group, frozenset(letters))
+
+
+@lru_cache(maxsize=64)
+def _letter_face(group: MarkedGroup, labels: frozenset[str]) -> Face | None:
+    pts = {group.generator(letter).abelianized() for letter in labels}
     return projected_polytope(group).minimal_face_of_points(list(pts))
 
 

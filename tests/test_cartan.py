@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horocalc import cartan, metric
+from horocalc import cartan, horoboundary, metric
 from horocalc.cartan import (
     AUDIT_MAX_LENGTH,
     DirectionFrame,
@@ -20,7 +20,7 @@ from horocalc.cartan import (
 )
 from horocalc.errors import BudgetExceededError, DegenerateInputError
 from horocalc.groups import parse_word, standard_group
-from horocalc.horoboundary import DigitizedRay
+from horocalc.horoboundary import DigitizedRay, busemann_eval
 from horocalc.metric import LengthResult
 from horocalc.reference import brute_force_detour_pairings, naive_busemann_values
 from horocalc.winding import cartan_path_oracle
@@ -282,6 +282,31 @@ def test_distinctness_witness_small():
     assert rep.u_min_value >= 1
     assert rep.u_values[1] == sorted(rep.u_values[1], reverse=True)
     assert rep.v_values[1][-1] <= rep.u_values[1][-1]
+
+
+def test_distinctness_searches_each_power_norm_once(monkeypatch):
+    # both directions scan h^p from one |h^p|; the report is that of two busemann_evals
+    u, v, powers, horizon = (-1, -1), (1, 1), (1, 2), 6
+    group = standard_group("cartan")
+    h_word = central_with_barycenter(pick_witness_barycenter(u, v))[1]
+    evals = {p: [busemann_eval(group, DigitizedRay(d), list(h_word * p), horizon)
+                 for d in (u, v)] for p in powers}
+    norms = {group.evaluate(h_word * p).key(): p for p in powers}
+    searched = []
+    length = horoboundary.length_within
+
+    def recorded(group, g, upper, state_cap):
+        if g.key() in norms:
+            searched.append(norms[g.key()])
+        return length(group, g, upper, state_cap)
+
+    monkeypatch.setattr(horoboundary, "length_within", recorded)
+    rep = distinctness_witness(u, v, powers=powers, horizon=horizon)
+    assert searched == list(powers)
+    assert rep.u_values == {p: eu.values for p, (eu, _) in evals.items()}
+    assert rep.v_values == {p: ev.values for p, (_, ev) in evals.items()}
+    assert rep.u_min_value == min(eu.value for eu, _ in evals.values())
+    assert (rep.v_final_value, rep.v_certified) == (evals[2][1].value, evals[2][1].certified)
 
 
 def test_stabilizer_escape_report():

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import horocalc
+from horocalc import horoboundary
 from horocalc.cartan import stabilizer_escape
 from horocalc.cli import _jsonable, _parse_range, main
 from horocalc.errors import ParseError
@@ -235,11 +236,33 @@ def test_deterministic_reports(capsys):
     assert s1 == s2
 
 
-def test_selftest_passes(capsys):
+def test_selftest_passes(capsys, monkeypatch):
+    # the switching walks it checks prove steps by the gauge and search others, on every kind:
+    # each step evaluates the gauge once, and a step the gauge leaves open searches once
+    gauge_evals, searches = {}, {}
+    gauge_fn, length = horoboundary._gauge_ceil_fn, horoboundary.word_length
+
+    def counted_gauge_fn(group):
+        gauge = gauge_fn(group)
+
+        def counted(v):
+            gauge_evals[group.kind] = gauge_evals.get(group.kind, 0) + 1
+            return gauge(v)
+
+        return counted
+
+    def counted_length(group, g, budget, state_cap):
+        searches[group.kind] = searches.get(group.kind, 0) + 1
+        return length(group, g, budget, state_cap)
+
+    monkeypatch.setattr(horoboundary, "_gauge_ceil_fn", counted_gauge_fn)
+    monkeypatch.setattr(horoboundary, "word_length", counted_length)
     doc = run_json(capsys, "selftest")
     assert doc["result"]["passed"] is True
     assert all(doc["result"]["checks"].values())
     assert {"horofn_eval_vs_naive", "compare_rays_vs_naive"} <= set(doc["result"]["checks"])
+    for kind in ("abelian", "heisenberg", "cartan"):
+        assert gauge_evals[kind] > searches[kind] > 0
 
 
 def test_cartan_audit_cli(capsys):

@@ -27,7 +27,13 @@ from horocalc.horoboundary import (
     same_busemann,
     validate_ray,
 )
-from horocalc.metric import LengthResult, ball, geodesic_certificate_by_face, word_length
+from horocalc.metric import (
+    LengthResult,
+    ball,
+    gauge_lower_bound,
+    geodesic_certificate_by_face,
+    word_length,
+)
 from horocalc.reference import (
     brute_force_digitized,
     naive_ball,
@@ -88,6 +94,36 @@ def test_digitized_rays_always_face_certified(cartan, h1):
         word = ray_prefix(DigitizedRay(direction), 14)
         assert geodesic_certificate_by_face(cartan, word).certified
         assert geodesic_certificate_by_face(h1, word).certified
+
+
+@st.composite
+def ray_specs(draw):
+    """(group, ray): a periodic ray over the marking's labels, or a digitized direction."""
+    name = draw(st.sampled_from(["z2", "h1", "cartan"]))
+    group = standard_group(name)
+    if draw(st.booleans()):
+        a, b = draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda u: u != (0, 0)))
+        return group, DigitizedRay((a, b))
+    labels = st.sampled_from(sorted(group.labels))
+    return group, PeriodicRay(tuple(draw(st.lists(labels, max_size=3))),
+                              tuple(draw(st.lists(labels, min_size=1, max_size=3))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=ray_specs(), lengths=st.lists(st.integers(0, 14), min_size=1, max_size=3))
+def test_ray_plans_hold_the_prefixes_and_their_abelianized_sums(case, lengths):
+    # a fresh plan extended to each length in turn, later ones possibly longer
+    group, spec = case
+    plan = horoboundary._RayPlan(group, spec)
+    for k, n in enumerate(lengths):
+        assert plan.extend(n) is plan
+        letters = ray_prefix(spec, max(lengths[:k + 1]))
+        assert plan.letters == letters
+        assert plan.gens == [group.generator(s) for s in letters]
+        assert plan.invs == [group.generator(s).inverse() for s in letters]
+        assert plan.sums == [group.evaluate(letters[:t]).abelianized()
+                             for t in range(len(letters) + 1)]
+    assert horoboundary._ray_plan(group, spec) is horoboundary._ray_plan(group, spec)
 
 
 def test_validate_ray(h1, h1z):
@@ -321,80 +357,20 @@ def _query_keys(group, spec1, spec2, n_max, m_max):
             for n in range(1, n_max + 1) for check in (0, 1) for m in range(n, m_max + 1)}
 
 
-def _record_length_queries(monkeypatch, group, spec1, spec2, n_max, m_max, slack):
-    """Patch horoboundary so the returned list gets (n, check, status) per length query.
+def _walk_order(group, keys, statuses, n_max, m_max, slack):
+    """(n, check, m, searched) of each step of the switching walk, given the statuses searched.
 
-    Without an ``inconclusive`` search the walk asks in increasing (n, check, m),
-    so each query is attributed to the least (n, check, m) after the previous
-    one whose element key and budget m - n + slack it has.
+    A step whose gauge lower bound exceeds its budget m - n + slack is proved
+    ``exceeds_budget`` without a search; every other step takes the next status.
     """
-    keys, queries, last = _query_keys(group, spec1, spec2, n_max, m_max), [], [(0, 0, 0)]
-    length = horoboundary.word_length
-
-    def recorded(group, g, budget, state_cap):
-        last[0] = min(t for t, key in keys.items()
-                      if t > last[0] and key == g.key() and t[2] - t[0] + slack == budget)
-        res = length(group, g, budget, state_cap)
-        queries.append((last[0][0], last[0][1], res.status))
-        return res
-
-    monkeypatch.setattr(horoboundary, "word_length", recorded)
-    return queries
-
-
-WALK_CASES = [
-    ("z2", PeriodicRay((), ("y", "x")), PeriodicRay((), ("x", "y~")), 6, 36, 0, 37),
-    ("z2", PeriodicRay((), ("x", "y")), PeriodicRay((), ("y", "x")), 3, 12, 0, 8),
-    ("h1", DigitizedRay((1, 2)), DigitizedRay((2, 1)), 8, 40, 0, 43),
-    ("cartan", DigitizedRay((1, 1)), DigitizedRay((-1, -1)), 6, 30, 2, 31),
-]
-WALK_IDS = ["z2-not-found", "z2-verified", "h1-verified", "cartan-slack"]
-
-
-@pytest.mark.parametrize("name, spec1, spec2, n_max, m_max, slack, calls", WALK_CASES,
-                         ids=WALK_IDS)
-def test_comparisons_prove_each_check_once_per_n(monkeypatch, name, spec1, spec2, n_max, m_max,
-                                                 slack, calls):
-    # a check that holds at (n, m) holds at every larger m, and one that fails at (n, m) fails
-    # at every larger n and smaller m: at most 2(N + M) queries, each check exact once per n
-    group = standard_group(name)
-    queries = _record_length_queries(monkeypatch, group, spec1, spec2, n_max, m_max, slack)
-    reduced_equiv(group, spec1, spec2, slack, n_max, m_max)
-    assert len(queries) == calls <= 2 * (n_max + m_max)
-    exact = [(n, check) for n, check, status in queries if status == "exact"]
-    assert len(exact) == len(set(exact))
-    assert all(status != "inconclusive" for *_, status in queries)
-
-
-@pytest.mark.parametrize("name, spec1, spec2, n_max, m_max, slack, calls", WALK_CASES,
-                         ids=WALK_IDS)
-def test_comparisons_make_one_product_per_walk_step(monkeypatch, name, spec1, spec2, n_max,
-                                                    m_max, slack, calls):
-    # each check moves its running element one product per step of n or m, and without an
-    # inconclusive search m never steps back: at most N + M products per check
-    group = standard_group(name)
-    element_type, products = type(group.identity), []
-    mul = element_type.__mul__
-
-    def counted(g, h):
-        products.append(1)
-        return mul(g, h)
-
-    monkeypatch.setattr(element_type, "__mul__", counted)
-    res = reduced_equiv(group, spec1, spec2, slack, n_max, m_max)
-    assert res.status != "inconclusive"
-    assert 0 < len(products) <= 2 * (n_max + m_max)
-
-
-def _walk_order(statuses, n_max, m_max):
-    """(n, check, m) of each length query of the switching walk, given the statuses answered."""
     order, answers, start = [], iter(statuses), [1, 1]
     for n in range(1, n_max + 1):
         m, known = max(n, *start), [False, False]
         while m <= m_max and not all(known):
             i = known.index(False)
-            order.append((n, i, m))
-            status = next(answers)
+            searched = gauge_lower_bound(group, group.element(keys[n, i, m])) <= m - n + slack
+            order.append((n, i, m, searched))
+            status = next(answers) if searched else "exceeds_budget"
             if status == "exact":
                 known[i] = True
                 continue
@@ -406,13 +382,121 @@ def _walk_order(statuses, n_max, m_max):
     return order
 
 
+def _record_walk_steps(monkeypatch, group):
+    """Patch horoboundary so the returned list gets one [gauge argument, gauge value, searches,
+    products] per walk step, each search as (element key, budget, status).
+
+    Every step evaluates the gauge once, as the tracer counts it: by wrapping the callable
+    that ``_gauge_ceil_fn`` returns. A search or product belongs to the last step begun.
+    """
+    steps = []
+    gauge_fn, length = horoboundary._gauge_ceil_fn, horoboundary.word_length
+
+    def recorded_gauge_fn(group):
+        gauge = gauge_fn(group)
+
+        def recorded(v):
+            steps.append([v, gauge(v), [], 0])
+            return steps[-1][1]
+
+        return recorded
+
+    def recorded_length(group, g, budget, state_cap):
+        res = length(group, g, budget, state_cap)
+        steps[-1][2].append((g.key(), budget, res.status))
+        return res
+
+    element_type = type(group.identity)
+    mul = element_type.__mul__
+
+    def counted(g, h):
+        steps[-1][3] += 1
+        return mul(g, h)
+
+    monkeypatch.setattr(element_type, "__mul__", counted)
+    monkeypatch.setattr(horoboundary, "_gauge_ceil_fn", recorded_gauge_fn)
+    monkeypatch.setattr(horoboundary, "word_length", recorded_length)
+    return steps
+
+
+WALK_CASES = [
+    ("z2", PeriodicRay((), ("y", "x")), PeriodicRay((), ("x", "y~")), 6, 36, 0, 37, 1, 3),
+    ("z2", PeriodicRay((), ("x", "y")), PeriodicRay((), ("y", "x")), 3, 12, 0, 8, 6, 14),
+    ("h1", DigitizedRay((1, 2)), DigitizedRay((2, 1)), 8, 40, 0, 43, 42, 72),
+    ("cartan", DigitizedRay((1, 1)), DigitizedRay((-1, -1)), 6, 30, 2, 31, 2, 4),
+]
+WALK_IDS = ["z2-not-found", "z2-verified", "h1-verified", "cartan-slack"]
+
+
+@pytest.mark.parametrize("name, spec1, spec2, n_max, m_max, slack, steps, searches, products",
+                         WALK_CASES, ids=WALK_IDS)
+def test_comparisons_prove_each_check_once_per_n(monkeypatch, name, spec1, spec2, n_max, m_max,
+                                                 slack, steps, searches, products):
+    # a check that holds at (n, m) holds at every larger m, and one that fails at (n, m) fails
+    # at every larger n and smaller m: at most 2(N + M) steps, each check exact once per n;
+    # a step is proved by the gauge or searched once, and only searched steps move E
+    group = standard_group(name)
+    keys = _query_keys(group, spec1, spec2, n_max, m_max)
+    recorded = _record_walk_steps(monkeypatch, group)
+    reduced_equiv(group, spec1, spec2, slack, n_max, m_max)
+    statuses = [status for *_, found, _ in recorded for *_, status in found]
+    order = _walk_order(group, keys, statuses, n_max, m_max, slack)
+    assert len(recorded) == len(order) == steps <= 2 * (n_max + m_max)
+    assert len(statuses) == searches
+    for (n, check, m, searched), (v, bound, found, _) in zip(order, recorded):
+        key, budget = keys[n, check, m], m - n + slack
+        assert v == group.element(key).abelianized()
+        assert (bound <= budget) == searched
+        assert [query[:2] for query in found] == ([(key, budget)] if searched else [])
+    exact = [(n, check) for (n, check, *_), (*_, found, _) in zip(order, recorded)
+             if found and found[0][2] == "exact"]
+    assert len(exact) == len(set(exact))
+    assert "inconclusive" not in statuses
+
+
+@pytest.mark.parametrize("name, spec1, spec2, n_max, m_max, slack, steps, searches, products",
+                         WALK_CASES, ids=WALK_IDS)
+def test_comparisons_make_one_product_per_walk_step(monkeypatch, name, spec1, spec2, n_max,
+                                                    m_max, slack, steps, searches, products):
+    # each check moves its running element one product per step of n or m between the steps
+    # it searches, and without an inconclusive search m never steps back: at most N + M
+    # products per check
+    group = standard_group(name)
+    element_type, counted_products = type(group.identity), []
+    mul = element_type.__mul__
+
+    def counted(g, h):
+        counted_products.append(1)
+        return mul(g, h)
+
+    monkeypatch.setattr(element_type, "__mul__", counted)
+    res = reduced_equiv(group, spec1, spec2, slack, n_max, m_max)
+    assert res.status != "inconclusive"
+    assert len(counted_products) == products <= 2 * (n_max + m_max)
+
+
+def test_a_gauge_proof_makes_no_product_and_no_search(monkeypatch):
+    # z2-not-found: every step after the first is proved by the gauge alone
+    name, spec1, spec2, n_max, m_max, slack, *_ = WALK_CASES[0]
+    group = standard_group(name)
+    keys = _query_keys(group, spec1, spec2, n_max, m_max)
+    recorded = _record_walk_steps(monkeypatch, group)
+    assert reduced_equiv(group, spec1, spec2, slack, n_max, m_max).status == "not_found"
+    statuses = [status for *_, found, _ in recorded for *_, status in found]
+    order = _walk_order(group, keys, statuses, n_max, m_max, slack)
+    proved = [(found, moved) for (*_, searched), (*_, found, moved) in zip(order, recorded)
+              if not searched]
+    assert len(proved) == 36
+    assert all(found == [] and moved == 0 for found, moved in proved)
+
+
 @settings(max_examples=80, deadline=None)
 @given(case=comparisons(), capped=st.lists(st.booleans(), max_size=40))
 @example(case=(standard_group("h1"), DigitizedRay((1, 2)), DigitizedRay((2, 1)), 3, 8, 0),
          capped=[False, True, True, False, False, False, True, True])
 def test_the_running_elements_survive_steps_back(case, capped):
     # an inconclusive search moves m without moving start[i], so the next n can begin below
-    # the last m a check queried; its running element then steps back one product per step
+    # the last m a check searched; its running element then steps back one product per step
     group, spec1, spec2, n_max, m_max, slack = case
     keys = _query_keys(group, spec1, spec2, n_max, m_max)
     queried, statuses = [], []
@@ -430,9 +514,9 @@ def test_the_running_elements_survive_steps_back(case, capped):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(horoboundary, "word_length", answered)
         reduced_equiv(group, spec1, spec2, slack, n_max, m_max)
-    order = _walk_order(statuses, n_max, m_max)
-    assert len(order) == len(queried)
-    assert queried == [(keys[n, check, m], m - n + slack) for n, check, m in order]
+    searched = [(n, check, m) for n, check, m, searched
+                in _walk_order(group, keys, statuses, n_max, m_max, slack) if searched]
+    assert queried == [(keys[n, check, m], m - n + slack) for n, check, m in searched]
 
 
 def _naive_checks_hold(group, spec1, spec2, n, m, slack):

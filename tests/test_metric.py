@@ -359,6 +359,20 @@ def test_cartan_commutator_word_geodesic_by_oracle(cartan, rng):
         assert is_geodesic_word(cartan, word) == expected, word
 
 
+@pytest.mark.parametrize("name", ["z2", "h1", "h2", "cartan"])
+def test_the_letter_face_memo_equals_the_polytope_lookup(name):
+    group = standard_group(name)
+    poly = metric.projected_polytope(group)
+    labels = sorted(group.labels)
+    with pytest.raises(DegenerateInputError):
+        metric.letter_face(group, ())
+    for r in range(1, len(labels) + 1):
+        for subset in itertools.combinations(labels, r):
+            points = sorted({group.generator(s).abelianized() for s in subset})
+            assert metric.letter_face(group, subset) == poly.minimal_face_of_points(points)
+            assert metric.letter_face(group, list(subset) * 2) == metric.letter_face(group, subset)
+
+
 def test_face_certificate(h1, cartan):
     cert = geodesic_certificate_by_face(h1, parse_word("x y x y x"))
     assert cert.certified and cert.face is not None
