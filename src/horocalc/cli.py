@@ -309,17 +309,16 @@ def cmd_geodesic_check(args):
 
 
 def cmd_ray(args):
-    from .horoboundary import ray_prefix, validate_ray
+    from .horoboundary import _ray_plan, validate_ray
 
     group = _load_group_arg(args)
     spec = _parse_ray(args.ray)
-    letters = ray_prefix(spec, args.length)
     status = validate_ray(group, spec, args.length, state_cap=args.state_cap)
-    ab = group.evaluate(letters).abelianized()
+    plan = _ray_plan(group, spec)  # holds the prefix validate_ray checked
     result = {
         "spec": spec.describe(),
-        "letters": list(letters),
-        "abelianization": list(ab),
+        "letters": list(plan.letters[:args.length]),
+        "abelianization": list(plan.sums[args.length]),
         "geodesic_validation": status,
     }
     _emit(args, result, group, {"length": args.length})

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, sub
+from operator import sub
 from typing import Sequence
 
 from .errors import (
@@ -147,30 +147,24 @@ def ray_prefix(spec: RaySpec, n: int) -> Word:
 
 
 class _RayPlan:
-    """One ray's first letters on one marking, with what the scans read of them.
-
-    ``gens[t]`` and ``invs[t]`` are the generator of letter t + 1 and its
-    inverse, and ``sums[t]`` is ab(ray_t), a prefix sum of the letters'
-    abelianized generators. ``extend`` grows the plan to the longest prefix
-    asked; it is kept for the life of the process.
-    """
+    """One ray's first letters on one marking: ``elems[t]`` is ray_t and
+    ``sums[t]`` is ab(ray_t). Kept for the life of the process."""
 
     def __init__(self, group: MarkedGroup, spec: RaySpec):
         self.group, self.spec = group, spec
         self.letters: Word = ()
-        self.gens: list[GroupElement] = []
-        self.invs: list[GroupElement] = []
+        self.elems: list[GroupElement] = [group.identity]
         self.sums: list[tuple[int, ...]] = [(0,) * group.abelian_rank]
 
     def extend(self, n: int) -> _RayPlan:
-        """This plan, holding at least the first n letters."""
-        if n > len(self.letters):
+        """This plan, holding at least the first n letters; one product per new letter."""
+        if not 0 <= n <= len(self.letters):  # ray_prefix refuses a negative n
             group, letters = self.group, ray_prefix(self.spec, n)
-            new = letters[len(self.letters):]
-            self.gens += [group.generator(s) for s in new]  # an unknown label raises here first
-            self.invs += [group.generator(group.inverse_of_label(s)) for s in new]
-            for g in self.gens[len(self.letters):]:
-                self.sums.append(tuple(map(add, self.sums[-1], g.abelianized())))
+            # an unknown label raises here, before the plan changes
+            gens = [group.generator(s) for s in letters[len(self.letters):]]
+            for g in gens:
+                self.elems.append(self.elems[-1] * g)
+                self.sums.append(self.elems[-1].abelianized())
             self.letters = letters
         return self
 
@@ -201,11 +195,16 @@ def validate_ray(group: MarkedGroup, spec: RaySpec, horizon: int,
     Returns "certified" when the face certificate applies (then every
     prefix, not just the checked ones, is geodesic), otherwise "checked"
     after one exact search of the prefix. Raises SpecNotGeodesicError on
-    failure.
+    failure, and BudgetExceededError before any work when the horizon + 1
+    plan elements exceed ``state_cap``.
     """
+    if horizon + 1 > state_cap:
+        raise BudgetExceededError(
+            f"a ray prefix of {horizon} letters needs {horizon + 1} ray elements, "
+            f"more than the state cap of {state_cap}")
     if isinstance(spec, DigitizedRay):
         _require_standard_grid(group)
-    word = ray_prefix(spec, horizon)
+    word = _ray_plan(group, spec).extend(horizon).letters[:horizon]
     if geodesic_certificate_by_face(group, word).certified:
         return "certified"
     if is_geodesic_by_search(group, word, state_cap=state_cap):
@@ -267,11 +266,9 @@ def busemann_eval(
 ) -> BusemannEstimate:
     """Scan |h^{-1} ray_n| - n for n = 0..horizon.
 
-    ``h`` may be a word (preferred: its length bounds the first search) or
-    an element with ``norm_budget`` as a known upper bound for |h|. Step n's
-    length has the triangle bound n + a_{n-1}, so ``length_within`` searches
-    below it, the bound answers once that search is exhausted, and only the
-    state cap stops a scan.
+    ``h`` is a word (its length bounds the first search) or an element with
+    ``norm_budget``, a known upper bound for |h|. Each step searches below
+    its triangle bound n + a_{n-1}, so only the state cap stops a scan.
     """
     elem, norm = _exact_norm(group, h, norm_budget, state_cap)
     return _busemann_scan(group, spec, elem, norm, horizon, state_cap)
@@ -293,14 +290,12 @@ def _busemann_scan(group: MarkedGroup, spec: RaySpec, elem: GroupElement, norm: 
     else:
         lower = -norm
 
-    values = [norm]  # values[n] = |x_n| - n for x_n = h^-1 ray_n = x_{n-1} s_n
-    x = hinv
-    for s in plan.gens[:horizon]:
-        x = x * s
-        res = length_within(group, x, len(values) + values[-1], state_cap)
+    values = [norm]  # values[n] = |x_n| - n for x_n = h^-1 ray_n
+    for n in range(1, horizon + 1):
+        res = length_within(group, hinv * plan.elems[n], n + values[-1], state_cap)
         if not res.exact:
             break
-        values.append(res.length - len(values))
+        values.append(res.length - n)
     reached, prev = len(values) - 1, values[-1]
     if reached >= pref_len and prev < lower:
         raise AssertionError(f"Busemann value {prev} fell below the gauge bound {lower}")
@@ -387,15 +382,10 @@ def _compare_rays(
     keeps start[i], the least m at which check i is not proved false; each n
     begins at max(n, *start), a check that holds is not searched again at
     this n, and only a proved ``exceeds_budget`` moves start[i]. A step asks
-    the gauge first: ab(E) for E = ray_m^-1 ray'_n is a difference of the
-    rays' abelianized prefix sums, and a gauge above the budget is
-    ``word_length``'s own first answer, so the step makes no product and no
-    search. Only a step the gauge leaves open moves check i's E, from where
-    it was last searched, one product per step: right by s'_{n+1}, left by
-    s_{m+1}^-1 or back by s_m. Only an ``inconclusive`` search steps m back;
-    without one that is at most 2(N + M) steps and products. The 2(M + 1)
-    charged to ``state_cap`` first are the rays' letters, prefix sums and
-    two E.
+    the gauge first, on ab(ray_m^-1 ray'_n), a difference of the plans'
+    prefix sums; only a step it leaves open makes one product and one search.
+    Without an ``inconclusive`` search that is at most 2(N + M) steps. The
+    2(M + 1) charged to ``state_cap`` first are the two plans' elements.
     """
     if n_max < 1 or m_max < n_max:
         raise DegenerateInputError(f"need 1 <= n_max <= m_max, got {n_max} and {m_max}")
@@ -407,7 +397,6 @@ def _compare_rays(
     validate_ray(group, spec2, m_max, state_cap=state_cap)
     plans = (_ray_plan(group, spec1).extend(m_max), _ray_plan(group, spec2).extend(m_max))
     gauge = _gauge_ceil_fn(group)
-    walk = [(group.identity, 0, 0), (group.identity, 0, 0)]  # (E, m, n) of each check
     start = [1, 1]
     witnesses = []
     capped = False
@@ -417,16 +406,9 @@ def _compare_rays(
             i = known.index(False)
             ray, other, budget = plans[i], plans[1 - i], m - n + slack
             if gauge(tuple(map(sub, other.sums[n], ray.sums[m]))) > budget:
-                status = "exceeds_budget"  # word_length's own first answer, without E
+                status = "exceeds_budget"  # word_length's own first answer, without a product
             else:
-                e, em, en = walk[i]
-                for k in range(en, n):
-                    e = e * other.gens[k]
-                for k in range(em, m):
-                    e = ray.invs[k] * e
-                for k in range(em, m, -1):
-                    e = ray.gens[k - 1] * e
-                walk[i] = e, m, n
+                e = ray.elems[m].inverse() * other.elems[n]
                 status = word_length(group, e, budget=budget, state_cap=state_cap).status
             if status == "exact":
                 known[i] = True

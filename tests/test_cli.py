@@ -337,6 +337,24 @@ def test_compare_rays_refuses_more_ray_elements_than_the_state_cap(capsys):
                    "elements, more than the state cap of 10\n")
 
 
+@pytest.mark.parametrize("argv, err", [
+    (("ray", "--group", "h1", "--ray", '{"periodic":{"block":"x"}}',
+      "--length", "1000000000000", "--state-cap", "10"),
+     "a ray prefix of 1000000000000 letters needs 1000000000001 ray elements, "
+     "more than the state cap of 10"),
+    (("busemann", "--group", "z2", "--ray", '{"periodic":{"block":"x"}}', "--element", "y",
+      "--horizon", "1000000000000"),
+     "a ray prefix of 1000000000000 letters needs 1000000000001 ray elements, "
+     "more than the state cap of 2000000"),
+], ids=["ray", "busemann"])
+def test_ray_prefixes_over_the_state_cap_are_refused(capsys, argv, err):
+    # the prefix's horizon + 1 ray elements are charged before any letter is spelled
+    start = time.perf_counter()
+    assert main(list(argv)) == 3
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr() == ("", f"horocalc: budget exceeded: {err}\n")
+
+
 def test_distinctness_cli(capsys):
     doc = run_json(capsys, "distinctness", "--u=-1,-1", "--v=1,1",
                    "--horizon", "6")

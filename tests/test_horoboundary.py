@@ -119,10 +119,10 @@ def test_ray_plans_hold_the_prefixes_and_their_abelianized_sums(case, lengths):
         assert plan.extend(n) is plan
         letters = ray_prefix(spec, max(lengths[:k + 1]))
         assert plan.letters == letters
-        assert plan.gens == [group.generator(s) for s in letters]
-        assert plan.invs == [group.generator(s).inverse() for s in letters]
-        assert plan.sums == [group.evaluate(letters[:t]).abelianized()
-                             for t in range(len(letters) + 1)]
+        assert plan.elems == [group.evaluate(letters[:t]) for t in range(len(letters) + 1)]
+        assert plan.sums == [e.abelianized() for e in plan.elems]
+    with pytest.raises(DegenerateInputError):
+        plan.extend(-1)
     assert horoboundary._ray_plan(group, spec) is horoboundary._ray_plan(group, spec)
 
 
@@ -136,6 +136,34 @@ def test_validate_ray(h1, h1z):
         validate_ray(h1, PeriodicRay((), ("x", "x~")), 6)
     with pytest.raises(SpecNotGeodesicError):
         validate_ray(h1z, PeriodicRay(("z", "z~"), ("x",)), 6)
+
+
+def test_validate_ray_charges_the_prefix_to_the_state_cap(monkeypatch, z2):
+    # the horizon + 1 plan elements over the cap raise before the plan grows
+    spec = PeriodicRay((), ("x",))
+    assert validate_ray(z2, spec, 9, state_cap=10) == "certified"
+    monkeypatch.setattr(horoboundary, "_ray_plan", None)
+    with pytest.raises(BudgetExceededError, match="needs 11 ray elements, more than the state cap"):
+        validate_ray(z2, spec, 10, state_cap=10)
+    with pytest.raises(BudgetExceededError):
+        busemann_eval(z2, spec, ["y"], 10**12)
+
+
+def test_a_repeated_comparison_spells_no_letters(monkeypatch, h1):
+    # validate_ray reads the cached plan, so a second comparison of the pair rebuilds no prefix
+    spells = []
+    staircase = horoboundary._first_quadrant_staircase
+
+    def counted(a, b, n):
+        spells.append((a, b, n))
+        return staircase(a, b, n)
+
+    monkeypatch.setattr(horoboundary, "_first_quadrant_staircase", counted)
+    spec1, spec2 = DigitizedRay((3, 5)), DigitizedRay((5, 3))
+    first = same_busemann(h1, spec1, spec2, 3, 12)
+    spells.clear()
+    assert same_busemann(h1, spec1, spec2, 3, 12) == first
+    assert spells == []
 
 
 def _count_letter_face_calls(monkeypatch):
@@ -382,13 +410,21 @@ def _walk_order(group, keys, statuses, n_max, m_max, slack):
     return order
 
 
-def _record_walk_steps(monkeypatch, group):
+def _warm_plans(group, specs, m_max):
+    """Grow the rays' cached plans to m_max, so a comparison up to M makes no plan product."""
+    for spec in specs:
+        horoboundary._ray_plan(group, spec).extend(m_max)
+
+
+def _record_walk_steps(monkeypatch, group, specs, m_max):
     """Patch horoboundary so the returned list gets one [gauge argument, gauge value, searches,
     products] per walk step, each search as (element key, budget, status).
 
     Every step evaluates the gauge once, as the tracer counts it: by wrapping the callable
-    that ``_gauge_ceil_fn`` returns. A search or product belongs to the last step begun.
+    that ``_gauge_ceil_fn`` returns. A search or product belongs to the last step begun; the
+    rays' plans are warmed first, so every product counted is a step's.
     """
+    _warm_plans(group, specs, m_max)
     steps = []
     gauge_fn, length = horoboundary._gauge_ceil_fn, horoboundary.word_length
 
@@ -420,48 +456,49 @@ def _record_walk_steps(monkeypatch, group):
 
 
 WALK_CASES = [
-    ("z2", PeriodicRay((), ("y", "x")), PeriodicRay((), ("x", "y~")), 6, 36, 0, 37, 1, 3),
-    ("z2", PeriodicRay((), ("x", "y")), PeriodicRay((), ("y", "x")), 3, 12, 0, 8, 6, 14),
-    ("h1", DigitizedRay((1, 2)), DigitizedRay((2, 1)), 8, 40, 0, 43, 42, 72),
-    ("cartan", DigitizedRay((1, 1)), DigitizedRay((-1, -1)), 6, 30, 2, 31, 2, 4),
+    ("z2", PeriodicRay((), ("y", "x")), PeriodicRay((), ("x", "y~")), 6, 36, 0, 37, 1),
+    ("z2", PeriodicRay((), ("x", "y")), PeriodicRay((), ("y", "x")), 3, 12, 0, 8, 6),
+    ("h1", DigitizedRay((1, 2)), DigitizedRay((2, 1)), 8, 40, 0, 43, 42),
+    ("cartan", DigitizedRay((1, 1)), DigitizedRay((-1, -1)), 6, 30, 2, 31, 2),
 ]
 WALK_IDS = ["z2-not-found", "z2-verified", "h1-verified", "cartan-slack"]
 
 
-@pytest.mark.parametrize("name, spec1, spec2, n_max, m_max, slack, steps, searches, products",
+@pytest.mark.parametrize("name, spec1, spec2, n_max, m_max, slack, steps, searches",
                          WALK_CASES, ids=WALK_IDS)
 def test_comparisons_prove_each_check_once_per_n(monkeypatch, name, spec1, spec2, n_max, m_max,
-                                                 slack, steps, searches, products):
+                                                 slack, steps, searches):
     # a check that holds at (n, m) holds at every larger m, and one that fails at (n, m) fails
     # at every larger n and smaller m: at most 2(N + M) steps, each check exact once per n;
-    # a step is proved by the gauge or searched once, and only searched steps move E
+    # a step is proved by the gauge or searched once, and only a searched step makes a product
     group = standard_group(name)
     keys = _query_keys(group, spec1, spec2, n_max, m_max)
-    recorded = _record_walk_steps(monkeypatch, group)
+    recorded = _record_walk_steps(monkeypatch, group, (spec1, spec2), m_max)
     reduced_equiv(group, spec1, spec2, slack, n_max, m_max)
     statuses = [status for *_, found, _ in recorded for *_, status in found]
     order = _walk_order(group, keys, statuses, n_max, m_max, slack)
     assert len(recorded) == len(order) == steps <= 2 * (n_max + m_max)
     assert len(statuses) == searches
-    for (n, check, m, searched), (v, bound, found, _) in zip(order, recorded):
+    for (n, check, m, searched), (v, bound, found, moved) in zip(order, recorded):
         key, budget = keys[n, check, m], m - n + slack
         assert v == group.element(key).abelianized()
         assert (bound <= budget) == searched
         assert [query[:2] for query in found] == ([(key, budget)] if searched else [])
+        assert moved == searched
     exact = [(n, check) for (n, check, *_), (*_, found, _) in zip(order, recorded)
              if found and found[0][2] == "exact"]
     assert len(exact) == len(set(exact))
     assert "inconclusive" not in statuses
 
 
-@pytest.mark.parametrize("name, spec1, spec2, n_max, m_max, slack, steps, searches, products",
+@pytest.mark.parametrize("name, spec1, spec2, n_max, m_max, slack, steps, searches",
                          WALK_CASES, ids=WALK_IDS)
 def test_comparisons_make_one_product_per_walk_step(monkeypatch, name, spec1, spec2, n_max,
-                                                    m_max, slack, steps, searches, products):
-    # each check moves its running element one product per step of n or m between the steps
-    # it searches, and without an inconclusive search m never steps back: at most N + M
-    # products per check
+                                                    m_max, slack, steps, searches):
+    # on warm plans a walk step makes at most one product: ray_m^-1 ray'_n for its search,
+    # none for a gauge proof
     group = standard_group(name)
+    _warm_plans(group, (spec1, spec2), m_max)
     element_type, counted_products = type(group.identity), []
     mul = element_type.__mul__
 
@@ -472,7 +509,7 @@ def test_comparisons_make_one_product_per_walk_step(monkeypatch, name, spec1, sp
     monkeypatch.setattr(element_type, "__mul__", counted)
     res = reduced_equiv(group, spec1, spec2, slack, n_max, m_max)
     assert res.status != "inconclusive"
-    assert len(counted_products) == products <= 2 * (n_max + m_max)
+    assert len(counted_products) == searches <= steps
 
 
 def test_a_gauge_proof_makes_no_product_and_no_search(monkeypatch):
@@ -480,7 +517,7 @@ def test_a_gauge_proof_makes_no_product_and_no_search(monkeypatch):
     name, spec1, spec2, n_max, m_max, slack, *_ = WALK_CASES[0]
     group = standard_group(name)
     keys = _query_keys(group, spec1, spec2, n_max, m_max)
-    recorded = _record_walk_steps(monkeypatch, group)
+    recorded = _record_walk_steps(monkeypatch, group, (spec1, spec2), m_max)
     assert reduced_equiv(group, spec1, spec2, slack, n_max, m_max).status == "not_found"
     statuses = [status for *_, found, _ in recorded for *_, status in found]
     order = _walk_order(group, keys, statuses, n_max, m_max, slack)
@@ -494,9 +531,9 @@ def test_a_gauge_proof_makes_no_product_and_no_search(monkeypatch):
 @given(case=comparisons(), capped=st.lists(st.booleans(), max_size=40))
 @example(case=(standard_group("h1"), DigitizedRay((1, 2)), DigitizedRay((2, 1)), 3, 8, 0),
          capped=[False, True, True, False, False, False, True, True])
-def test_the_running_elements_survive_steps_back(case, capped):
+def test_searches_after_a_step_back_query_their_own_elements(case, capped):
     # an inconclusive search moves m without moving start[i], so the next n can begin below
-    # the last m a check searched; its running element then steps back one product per step
+    # the last m a check searched; each search still queries ray_m^-1 ray'_n of its own (n, m)
     group, spec1, spec2, n_max, m_max, slack = case
     keys = _query_keys(group, spec1, spec2, n_max, m_max)
     queried, statuses = [], []
