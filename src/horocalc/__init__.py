@@ -47,8 +47,8 @@ from .metric import (
     LengthResult,
     ball,
     distance,
-    geodesic_certificate_by_face,
-    is_geodesic_word,
+    exact_length,
+    geodesic_verdict,
     length_within,
     word_length,
 )

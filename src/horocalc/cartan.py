@@ -22,11 +22,10 @@ from .horoboundary import (
     STANDARD_GRID,
     DigitizedRay,
     _busemann_scan,
-    _exact_norm,
     busemann_eval,
     ray_prefix,
 )
-from .metric import DEFAULT_STATE_CAP
+from .metric import DEFAULT_STATE_CAP, exact_length
 
 
 @dataclass(frozen=True)
@@ -317,7 +316,7 @@ def distinctness_witness(
     v_final = None
     v_cert = False
     for p in powers:
-        elem, norm = _exact_norm(group, h_word * p, None, state_cap)  # one |h^p| for both scans
+        elem, norm = exact_length(group, h_word * p, state_cap)  # one |h^p| for both scans
         eu = _busemann_scan(group, DigitizedRay(u), elem, norm, horizon, state_cap)
         ev = _busemann_scan(group, DigitizedRay(v), elem, norm, horizon, state_cap)
         u_vals[p] = eu.values

@@ -21,9 +21,9 @@ from functools import lru_cache
 from operator import mul
 from typing import Collection, Sequence
 
-from .errors import BudgetExceededError, DegenerateInputError, GroupKindMismatchError, SpecNotGeodesicError
+from .errors import BudgetExceededError, DegenerateInputError, GroupKindMismatchError
 from .groups import MarkedGroup, Word, commutator_z_exponent, full_coordinates
-from .horoboundary import RaySpec
+from .horoboundary import RaySpec, recurring_face
 from .metric import letter_face, projected_polytope
 from .polytope import IMPROPER, Face, Polytope
 
@@ -79,16 +79,14 @@ class RayInvariants:
     full_face_key: tuple | None  # minimal face of the full hull, None if unavailable
 
 
-def _orbit_data(group: MarkedGroup, mode: str, letters: Collection[str], fp: Polytope | None):
-    """(projected face key, commutative, full-hull face key) of a letter set.
+def _orbit_data(group: MarkedGroup, mode: str, letters: Collection[str], face: Face,
+                fp: Polytope | None):
+    """(projected face key, commutative, full-hull face key) of a letter set on a proper face.
 
-    None when the letters lie on no proper face of the projected hull. The
-    full-hull key is None without a full hull ``fp`` and ("improper",) when
-    no proper face of it holds the letters.
+    ``face`` is the letters' ``letter_face``. The full-hull key is None
+    without a full hull ``fp`` and ("improper",) when no proper face of it
+    holds the letters.
     """
-    face = letter_face(group, letters)
-    if face is IMPROPER:
-        return None
     commutative = mode != "2step" or _is_commutative_face(group, face_labels(group, face))
     full_key = None
     if fp is not None:
@@ -104,12 +102,8 @@ def ray_invariants(group: MarkedGroup, spec: RaySpec) -> RayInvariants:
         fp = full_polytope(group)
     except DegenerateInputError:
         fp = None
-    data = _orbit_data(group, mode, letters, fp)
-    if data is None:
-        raise SpecNotGeodesicError(
-            "the ray's recurring letters lie on no proper face, so it is not geodesic"
-        )
-    return RayInvariants(letters, *data)
+    face = recurring_face(group, spec)
+    return RayInvariants(letters, *_orbit_data(group, mode, letters, face, fp))
 
 
 def same_orbit(group: MarkedGroup, spec1: RaySpec, spec2: RaySpec) -> tuple[bool, str]:
@@ -158,10 +152,10 @@ def orbit_census(group: MarkedGroup) -> CensusReport:
     keys = set()
     for r in range(1, len(labels) + 1):
         for subset in itertools.combinations(labels, r):
-            data = _orbit_data(group, mode, subset, fp)
-            if data is None:
+            face = letter_face(group, subset)
+            if face is IMPROPER:
                 continue
-            face_key, commutative, full_key = data
+            face_key, commutative, full_key = _orbit_data(group, mode, subset, face, fp)
             keys.add(("comm", face_key, full_key) if commutative else ("noncomm", face_key))
     ordered = sorted(keys, key=repr)
     return CensusReport(mode=mode, orbit_keys=ordered, count=len(ordered))

@@ -164,7 +164,7 @@ def write_ball_jsonl(table: DistanceTable, path: Path) -> None:
     temp file.
     """
     entries = table.entries
-    tags = {key[0]: json.dumps(key[0]) for key in entries}
+    tags = {tag: json.dumps(tag) for tag in {key[0] for key in entries}}
 
     def record(key):
         coords = ", ".join([tags[key[0]], *map(str, key[1:])])
@@ -287,23 +287,17 @@ def cmd_dist(args):
 
 
 def cmd_geodesic_check(args):
-    from .metric import geodesic_certificate_by_face, is_geodesic_by_search
+    from .metric import geodesic_verdict, projected_polytope
 
     group = _load_group_arg(args)
     word = parse_word(args.word)
-    cert = geodesic_certificate_by_face(group, word)
-    geodesic = cert.certified or is_geodesic_by_search(group, word, state_cap=args.state_cap)
+    verdict, face = geodesic_verdict(group, word, state_cap=args.state_cap)
     result = {
         "word": list(word),
-        "geodesic": geodesic,
-        "face_certified": cert.certified,
-        "face": None,
+        "geodesic": verdict != "not_geodesic",
+        "face_certified": verdict == "certified",
+        "face": face and [list(p) for p in face.member_key(projected_polytope(group))],
     }
-    if cert.certified and cert.face is not None:
-        from .metric import projected_polytope
-
-        poly = projected_polytope(group)
-        result["face"] = [list(p) for p in sorted(poly.points[i] for i in cert.face.members)]
     _emit(args, result, group, {"state_cap": args.state_cap})
     return 0
 
@@ -529,8 +523,8 @@ def cmd_selftest(args):
     from .classifier import anagram_set
     from .groups import cartan_word_element, marked_heisenberg
     from .horoboundary import DigitizedRay, PeriodicRay, reduced_equiv
-    from .metric import _bidirectional_search, gauge_lower_bound, length_within, word_length
-    from .metric import ball as _ball
+    from .metric import _bidirectional_search, gauge_lower_bound, geodesic_verdict, length_within
+    from .metric import ball as _ball, word_length
     from .reference import (
         brute_force_anagram_offsets,
         brute_force_detour_pairings,
@@ -681,6 +675,16 @@ def cmd_selftest(args):
             ok &= (reduced_equiv(G, s1, s2, slack, 2, 6)
                    == naive_compare_rays(G, s1, s2, 2, 6, slack))
     checks["compare_rays_vs_naive"] = ok
+
+    ok = True
+    # a word is geodesic iff its naive length is its own, and a certified word is geodesic
+    for G in (standard_group("z2"), h1, ca):
+        dist = naive_ball(G, 6)
+        for _ in range(100):
+            w = [rng.choice(G.labels) for _ in range(rng.randint(0, 6))]
+            geodesic = dist[G.evaluate(w).key()] == len(w)
+            ok &= (geodesic_verdict(G, w)[0] != "not_geodesic") == geodesic
+    checks["geodesic_verdict_vs_naive"] = ok
 
     passed = all(checks.values())
     _emit(args, {"passed": passed, "checks": checks}, None, {})

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import sub
+from operator import add, mul, sub
 from typing import Sequence
 
 from .errors import (
@@ -26,13 +26,13 @@ from .metric import (
     DEFAULT_STATE_CAP,
     _gauge_ceil_fn,
     ball,
-    geodesic_certificate_by_face,
-    is_geodesic_by_search,
+    exact_length,
+    geodesic_verdict,
     length_within,
     letter_face,
     word_length,
 )
-from .polytope import IMPROPER
+from .polytope import IMPROPER, Face
 
 STANDARD_GRID = {"x": (1, 0), "y": (0, 1), "x~": (-1, 0), "y~": (0, -1)}
 
@@ -169,9 +169,7 @@ class _RayPlan:
         return self
 
 
-@lru_cache(maxsize=64)
-def _ray_plan(group: MarkedGroup, spec: RaySpec) -> _RayPlan:
-    return _RayPlan(group, spec)
+_ray_plan = lru_cache(maxsize=64)(_RayPlan)  # one plan per marking and ray
 
 
 def _require_standard_grid(group: MarkedGroup):
@@ -192,11 +190,11 @@ def validate_ray(group: MarkedGroup, spec: RaySpec, horizon: int,
                  state_cap: int = DEFAULT_STATE_CAP) -> str:
     """Check the first ``horizon`` letters are geodesic.
 
-    Returns "certified" when the face certificate applies (then every
-    prefix, not just the checked ones, is geodesic), otherwise "checked"
-    after one exact search of the prefix. Raises SpecNotGeodesicError on
-    failure, and BudgetExceededError before any work when the horizon + 1
-    plan elements exceed ``state_cap``.
+    Returns the prefix's ``geodesic_verdict``: "certified" by a face (then
+    every prefix, not just the checked ones, is geodesic) or "checked" by
+    one exact search. Raises SpecNotGeodesicError on failure, and
+    BudgetExceededError before any work when the horizon + 1 plan elements
+    exceed ``state_cap``.
     """
     if horizon + 1 > state_cap:
         raise BudgetExceededError(
@@ -205,36 +203,26 @@ def validate_ray(group: MarkedGroup, spec: RaySpec, horizon: int,
     if isinstance(spec, DigitizedRay):
         _require_standard_grid(group)
     word = _ray_plan(group, spec).extend(horizon).letters[:horizon]
-    if geodesic_certificate_by_face(group, word).certified:
-        return "certified"
-    if is_geodesic_by_search(group, word, state_cap=state_cap):
-        return "checked"
-    raise SpecNotGeodesicError(f"{spec} is not geodesic within horizon {horizon}")
+    verdict, _ = geodesic_verdict(group, word, state_cap)
+    if verdict == "not_geodesic":
+        raise SpecNotGeodesicError(f"{spec} is not geodesic within horizon {horizon}")
+    return verdict
 
 
-def _exact_norm(group: MarkedGroup, h: GroupElement | Sequence[str], norm_budget: int | None,
-                state_cap: int) -> tuple[GroupElement, int]:
-    """The element h (a word, or an element with ``norm_budget``) and its exact |h|.
+def recurring_face(group: MarkedGroup, spec: RaySpec) -> Face:
+    """The minimal proper face of the hull holding the ray's recurring letters.
 
-    A word's length is a proved bound on |h|, so ``length_within`` searches
-    below it and only the state cap stops it; ``norm_budget`` is the caller's
-    claim and may be exceeded.
+    Raises SpecNotGeodesicError when they lie on no proper face: the ray is
+    then not geodesic, whatever a finite prefix shows. A digitized ray's
+    letters mean its staircase only on the standard grid, which it needs.
     """
-    if isinstance(h, (list, tuple)):
-        elem = group.evaluate(h)
-        res = length_within(group, elem, len(h), state_cap)
-    elif norm_budget is None:
-        raise DegenerateInputError("element arguments need norm_budget")
-    else:
-        elem = h
-        res = word_length(group, elem, budget=norm_budget, state_cap=state_cap)
-    if not res.exact:
-        raise BudgetExceededError("could not establish the element's length within its budget")
-    return elem, res.length
-
-
-def _functional_value(face, vec) -> Fraction:
-    return sum(Fraction(c) * v for c, v in zip(face.functional, vec)) / face.offset
+    if isinstance(spec, DigitizedRay):
+        _require_standard_grid(group)
+    face = letter_face(group, spec.tail_letters())
+    if face is IMPROPER:
+        raise SpecNotGeodesicError(
+            "the ray's recurring letters lie on no proper face, so it is not geodesic")
+    return face
 
 
 @dataclass
@@ -267,10 +255,20 @@ def busemann_eval(
     """Scan |h^{-1} ray_n| - n for n = 0..horizon.
 
     ``h`` is a word (its length bounds the first search) or an element with
-    ``norm_budget``, a known upper bound for |h|. Each step searches below
-    its triangle bound n + a_{n-1}, so only the state cap stops a scan.
+    ``norm_budget``, a known upper bound for |h| that may be exceeded. Each
+    step searches below its triangle bound n + a_{n-1}, so only the state cap
+    stops a scan.
     """
-    elem, norm = _exact_norm(group, h, norm_budget, state_cap)
+    recurring_face(group, spec)  # refuses a ray that is not geodesic before any search
+    if isinstance(h, (list, tuple)):
+        elem, norm = exact_length(group, h, state_cap)
+    elif norm_budget is None:
+        raise DegenerateInputError("element arguments need norm_budget")
+    else:
+        elem, res = h, word_length(group, h, budget=norm_budget, state_cap=state_cap)
+        if not res.exact:
+            raise BudgetExceededError("could not establish the element's length within its budget")
+        norm = res.length
     return _busemann_scan(group, spec, elem, norm, horizon, state_cap)
 
 
@@ -282,13 +280,9 @@ def _busemann_scan(group: MarkedGroup, spec: RaySpec, elem: GroupElement, norm: 
 
     pref_len = len(spec.prefix) if isinstance(spec, PeriodicRay) else 0
     plan = _ray_plan(group, spec).extend(max(horizon, pref_len))
-    face = letter_face(group, spec.tail_letters())
-    if face is not IMPROPER:
-        pref_ab = plan.sums[pref_len]
-        lb = _functional_value(face, hinv.abelianized()) + _functional_value(face, pref_ab) - pref_len
-        lower = math.ceil(lb)
-    else:
-        lower = -norm
+    face = recurring_face(group, spec)
+    ab = map(add, hinv.abelianized(), plan.sums[pref_len])  # ab(h^-1 ray_p) for p = pref_len
+    lower = math.ceil(Fraction(sum(map(mul, face.functional, ab))) / face.offset) - pref_len
 
     values = [norm]  # values[n] = |x_n| - n for x_n = h^-1 ray_n
     for n in range(1, horizon + 1):
@@ -299,15 +293,9 @@ def _busemann_scan(group: MarkedGroup, spec: RaySpec, elem: GroupElement, norm: 
     reached, prev = len(values) - 1, values[-1]
     if reached >= pref_len and prev < lower:
         raise AssertionError(f"Busemann value {prev} fell below the gauge bound {lower}")
-    stable = 0
-    for v in reversed(values[:-1]):
-        if v == prev:
-            stable += 1
-        else:
-            break
     return BusemannEstimate(
         value=prev,
-        stable_for=stable,
+        stable_for=values.count(prev) - 1,  # the values never increase
         horizon=reached,
         lower_bound=lower,
         certified=(reached >= pref_len and prev == lower),
@@ -343,7 +331,7 @@ def horofn_window(group: MarkedGroup, x: Sequence[str], radius: int,
     |x^-1 w| <= |x| + |w|. ``state_cap`` bounds both the search for |x| and
     the bigger ball. Returns (window, window_elements).
     """
-    elem, norm_x = _exact_norm(group, x, None, state_cap)
+    elem, norm_x = exact_length(group, x, state_cap)
     table = ball(group, norm_x + radius, state_cap).entries
     xinv = elem.inverse()
     window_elems = {k: group.element(k) for k in ball(group, radius, state_cap).entries}

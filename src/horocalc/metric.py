@@ -221,28 +221,27 @@ class _CentralTable:
 
     ``layers[L]`` maps each endpoint p = (a, b) of a word of length exactly L
     to ``(lo, mask)``: bit i of mask is set iff some such word evaluates to
-    (a, b, lo + i). A generator s moves p by s.a + s.b and shifts the whole
-    set by s.c + a.s_b, so a layer is shifts and ORs of the one before; the
-    sets are exact, holes included. ``sizes[L]`` counts the elements of
+    (a, b, lo + i). A generator's step function takes the key (h, p, lo) to
+    (h, q, shift): it moves p to q and shifts the whole set to start at
+    shift, so a layer is shifts and ORs of the one before; the sets are
+    exact, holes included. ``sizes[L]`` counts the elements of
     layer L and ``charges[L]`` those held by layers 0..L, the unit a search
     state is counted in; both depend only on the marking and L.
     """
 
     def __init__(self, group: MarkedGroup):
-        self.rank = group.params
-        self.moves = [(s.a + s.b, s.c, s.b) for _, s in group.generator_items()]
-        self.layers: list[dict[Key, tuple[int, int]]] = [{(0,) * (2 * self.rank): (0, 1)}]
+        self.steps = _step_fns(group)
+        self.layers: list[dict[Key, tuple[int, int]]] = [{(0,) * (2 * group.params): (0, 1)}]
         self.sizes = [1]
         self.charges = [1]
 
     def _grow(self):
-        k = self.rank
         nxt: dict[Key, tuple[int, int]] = {}
         for p, (lo, mask) in self.layers[-1].items():
-            a = p[:k]
-            for move, sc, sb in self.moves:
-                q = tuple(map(add, p, move))
-                shift = lo + sc + sum(map(mul, a, sb))
+            key = ("h", *p, lo)
+            for step in self.steps:
+                k = step(key)
+                q, shift = k[1:-1], k[-1]
                 old = nxt.get(q)
                 if old is None:
                     nxt[q] = (shift, mask)
@@ -277,9 +276,7 @@ class _CentralTable:
         return LengthResult("exceeds_budget", None, lower, 0)
 
 
-@lru_cache(maxsize=64)
-def _central_table(group: MarkedGroup) -> _CentralTable:
-    return _CentralTable(group)
+_central_table = lru_cache(maxsize=64)(_CentralTable)  # one table per marking
 
 
 class _BallStore:
@@ -363,9 +360,7 @@ class _BallStore:
         return dict(islice(self.dist.items(), self.counts[radius]))
 
 
-@lru_cache(maxsize=64)
-def _ball_store(group: MarkedGroup) -> _BallStore:
-    return _BallStore(group)
+_ball_store = lru_cache(maxsize=64)(_BallStore)  # one store per marking
 
 
 class _IdentityBall:
@@ -380,7 +375,7 @@ class _IdentityBall:
     one outside it the ball seeds the bidirectional search's forward side.
     """
 
-    def __init__(self, group: MarkedGroup, max_entries: int):
+    def __init__(self, group: MarkedGroup, max_entries: int = ORACLE_BALL_ENTRIES):
         store = _ball_store(group)
         while store.counts[-1] <= max_entries:
             store.grow()
@@ -389,9 +384,7 @@ class _IdentityBall:
         self.sphere = [k for k, d in self.dist.items() if d == radius]
 
 
-@lru_cache(maxsize=64)
-def _identity_ball(group: MarkedGroup) -> _IdentityBall:
-    return _IdentityBall(group, ORACLE_BALL_ENTRIES)
+_identity_ball = lru_cache(maxsize=64)(_IdentityBall)  # one ball per marking
 
 
 def gauge_lower_bound(group: MarkedGroup, g: GroupElement) -> int:
@@ -608,19 +601,11 @@ def distance(
     return word_length(group, g.inverse() * h, budget, state_cap)
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Face certificate for geodesity: all letters project into a proper face."""
-
-    certified: bool
-    face: Face | None = None
-
-
 def letter_face(group: MarkedGroup, letters: Iterable[str]) -> Face | None:
     """Minimal proper face of the projected generator hull holding the letters.
 
     IMPROPER when the abelianized letters lie on no proper face. This is the
-    one lookup behind face certificates, Busemann gauge bounds and orbit keys,
+    one lookup behind geodesic verdicts, Busemann gauge bounds and orbit keys,
     memoized per marking and label set.
     """
     return _letter_face(group, frozenset(letters))
@@ -632,46 +617,35 @@ def _letter_face(group: MarkedGroup, labels: frozenset[str]) -> Face | None:
     return projected_polytope(group).minimal_face_of_points(list(pts))
 
 
-def geodesic_certificate_by_face(group: MarkedGroup, word: Sequence[str]) -> Certificate:
-    """Certified when the abelianized letters share a proper face of the hull.
+def exact_length(group: MarkedGroup, word: Sequence[str],
+                 state_cap: int = DEFAULT_STATE_CAP) -> tuple[GroupElement, int]:
+    """The word's element and its exact length.
 
-    Then any functional supporting that face evaluates to exactly 1 per
-    letter, so the abelianized gauge of every prefix equals its length and
-    the word is geodesic. ``Unknown`` (certified=False) is not a refutation.
+    The word's own length is a proved bound, so ``length_within`` searches
+    below it and only the state cap stops it: then this raises
+    BudgetExceededError (fails closed).
     """
-    if not word:
-        return Certificate(True, None)
-    face = letter_face(group, word)
-    return Certificate(face is not IMPROPER, face)
-
-
-def is_geodesic_word(
-    group: MarkedGroup,
-    word: Sequence[str],
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> bool:
-    """True iff every prefix evaluates to an element of length = prefix length.
-
-    The face certificate decides it when it applies, otherwise one search.
-    """
-    return geodesic_certificate_by_face(group, word).certified or is_geodesic_by_search(
-        group, word, state_cap)
-
-
-def is_geodesic_by_search(
-    group: MarkedGroup,
-    word: Sequence[str],
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> bool:
-    """``is_geodesic_word`` without the face certificate, for callers that hold it.
-
-    Every prefix of a geodesic word is geodesic, so the word is geodesic iff
-    its element has length ``len(word)``: one ``length_within`` query with that
-    proved bound decides it, searching below it. When that search hits the
-    state cap this raises BudgetExceededError (fails closed), even if a
-    shorter prefix alone would have shown the word is not geodesic.
-    """
-    res = length_within(group, group.evaluate(word), len(word), state_cap)
+    elem = group.evaluate(word)
+    res = length_within(group, elem, len(word), state_cap)
     if not res.exact:
         raise BudgetExceededError(f"state cap hit while checking a word of length {len(word)}")
-    return res.length == len(word)
+    return elem, res.length
+
+
+def geodesic_verdict(group: MarkedGroup, word: Sequence[str],
+                     state_cap: int = DEFAULT_STATE_CAP) -> tuple[str, Face | None]:
+    """("certified", face), ("checked", None) or ("not_geodesic", None) for the word.
+
+    Certified when the abelianized letters share a proper face of the hull
+    (face None for the empty word): a functional supporting it is 1 on every
+    letter, so every prefix's gauge equals its length. Otherwise the word is
+    geodesic iff ``exact_length`` gives ``len(word)``, since every prefix of a
+    geodesic is geodesic; a capped search raises BudgetExceededError.
+    """
+    if not word:
+        return "certified", None
+    face = letter_face(group, word)
+    if face is not IMPROPER:
+        return "certified", face
+    _, length = exact_length(group, word, state_cap)
+    return ("checked" if length == len(word) else "not_geodesic"), None

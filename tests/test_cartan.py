@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horocalc import cartan, horoboundary, metric
+from horocalc import cartan, metric
 from horocalc.cartan import (
     AUDIT_MAX_LENGTH,
     DirectionFrame,
@@ -293,14 +293,14 @@ def test_distinctness_searches_each_power_norm_once(monkeypatch):
                  for d in (u, v)] for p in powers}
     norms = {group.evaluate(h_word * p).key(): p for p in powers}
     searched = []
-    length = horoboundary.length_within
+    length = metric.length_within
 
     def recorded(group, g, upper, state_cap):
         if g.key() in norms:
             searched.append(norms[g.key()])
         return length(group, g, upper, state_cap)
 
-    monkeypatch.setattr(horoboundary, "length_within", recorded)
+    monkeypatch.setattr(metric, "length_within", recorded)
     rep = distinctness_witness(u, v, powers=powers, horizon=horizon)
     assert searched == list(powers)
     assert rep.u_values == {p: eu.values for p, (eu, _) in evals.items()}
@@ -315,6 +315,12 @@ def test_stabilizer_escape_report():
     assert rep.base_values[0] == 0 and rep.translated_values[0] == 0
     assert rep.gaps[0] == 0
     assert rep.gaps[1] >= 0
+
+
+def test_stabilizer_escape_reports_a_capped_scan_incomplete():
+    capped = stabilizer_escape((1, 1), parse_word("x"), powers=[1], horizon=12, state_cap=200)
+    assert not capped.complete
+    assert stabilizer_escape((1, 1), parse_word("x"), powers=[1], horizon=12).complete
 
 
 def test_stabilizer_escape_precondition():

@@ -60,6 +60,13 @@ def test_same_orbit_examples(h1, z2):
     assert ok
 
 
+def test_same_orbit_tells_commutative_faces_apart_by_the_full_hull():
+    # x and w both project to (1, 0) but differ in the central coordinate
+    G = marked_heisenberg(1, {"x": [1, 0, 0], "w": [1, 0, 1], "y": [0, 1, 0]})
+    ok, reason = same_orbit(G, PeriodicRay((), ("x",)), PeriodicRay((), ("w",)))
+    assert (ok, reason) == (False, "same commutative face but different full-hull faces")
+
+
 def test_same_orbit_equivalence_relation(h1):
     family = [
         DigitizedRay((1, 2)),

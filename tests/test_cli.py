@@ -78,6 +78,14 @@ def test_busemann_cli(capsys):
     assert est["value"] == 0 and est["certified"]
 
 
+def test_busemann_cli_refuses_a_ray_off_every_proper_face(capsys):
+    argv = ["busemann", "--group", "h1", "--ray", '{"periodic":{"block":"x y x~ y~"}}',
+            "--element", "y", "--horizon", "4"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", "horocalc: the ray's recurring letters lie on no proper face, so it is not geodesic\n")
+
+
 def test_compare_rays_cli(capsys):
     doc = run_json(capsys, "compare-rays", "--group", "z2",
                    "--ray1", '{"periodic":{"block":"x"}}',
@@ -100,6 +108,13 @@ def test_ray_and_geodesic_cli(capsys):
 def test_geodesic_check_reports_the_certifying_face(capsys, word, face):
     res = run_json(capsys, "geodesic-check", "--group", "h1", "--word", word)["result"]
     assert (res["geodesic"], res["face_certified"], res["face"]) == (True, True, face)
+
+
+@pytest.mark.parametrize("word, geodesic", [("x y x~", True), ("x x~", False)])
+def test_geodesic_check_reports_a_searched_word(capsys, word, geodesic):
+    res = run_json(capsys, "geodesic-check", "--group", "h1", "--word", word)["result"]
+    assert res == {"word": word.split(), "geodesic": geodesic, "face_certified": False,
+                   "face": None}
 
 
 def test_ball_cache_roundtrip(tmp_path, capsys):

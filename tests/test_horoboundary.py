@@ -31,7 +31,7 @@ from horocalc.metric import (
     LengthResult,
     ball,
     gauge_lower_bound,
-    geodesic_certificate_by_face,
+    geodesic_verdict,
     word_length,
 )
 from horocalc.reference import (
@@ -92,8 +92,8 @@ def test_digitized_direction_reduction_and_errors():
 def test_digitized_rays_always_face_certified(cartan, h1):
     for direction in ((1, 1), (1, 2), (5, 3), (-1, 4), (0, 1), (-2, -7)):
         word = ray_prefix(DigitizedRay(direction), 14)
-        assert geodesic_certificate_by_face(cartan, word).certified
-        assert geodesic_certificate_by_face(h1, word).certified
+        assert geodesic_verdict(cartan, word)[0] == "certified"
+        assert geodesic_verdict(h1, word)[0] == "certified"
 
 
 @st.composite
@@ -203,6 +203,9 @@ def test_validate_ray_needs_standard_grid(z2, h1z):
     odd = standard_group("h2")
     with pytest.raises(DegenerateInputError):
         validate_ray(odd, DigitizedRay((1, 1)), 5)
+    # a Busemann scan asks for the grid before it looks up the ray's recurring face
+    with pytest.raises(DegenerateInputError, match="standard grid"):
+        busemann_eval(odd, DigitizedRay((1, 1)), ["x1"], 5)
 
 
 def test_busemann_translation_values(z2):
@@ -245,6 +248,18 @@ def test_busemann_needs_norm_budget_for_elements(h1):
         busemann_eval(h1, DigitizedRay((1, 0)), g, horizon=4)
     est = busemann_eval(h1, DigitizedRay((1, 0)), g, horizon=4, norm_budget=1)
     assert est.value == -1 and est.certified
+
+
+def test_busemann_refuses_a_ray_whose_recurring_letters_lie_on_no_face(monkeypatch, h1):
+    # the commutator block is geodesic for 4 letters, but the values fall without bound
+    spec = PeriodicRay((), parse_word("x y x~ y~"))
+    assert naive_busemann_values(h1, spec, ["y"], 8) == [1, 1, 1, 1, -1, -1, -1, -1, -3]
+    assert validate_ray(h1, spec, 4) == "checked"
+    monkeypatch.setattr(metric, "word_length", None)  # refused before any search
+    with pytest.raises(SpecNotGeodesicError, match="no proper face"):
+        busemann_eval(h1, spec, ["y"], horizon=4)
+    with pytest.raises(SpecNotGeodesicError, match="no proper face"):
+        busemann_eval(h1, spec, h1.evaluate(["y"]), horizon=4, norm_budget=1)
 
 
 def test_busemann_scan_at_its_triangle_bound_never_exceeds_it(monkeypatch, h1):

@@ -20,10 +20,9 @@ from horocalc.metric import (
     _step_fns,
     ball,
     distance,
+    exact_length,
     gauge_lower_bound,
-    geodesic_certificate_by_face,
-    is_geodesic_by_search,
-    is_geodesic_word,
+    geodesic_verdict,
     length_within,
     word_length,
 )
@@ -294,7 +293,7 @@ def test_geodesic_search_at_the_word_length_never_exceeds_it(monkeypatch, h1):
     gauge_above = LengthResult("exceeds_budget", None, 3, 0)
     monkeypatch.setattr(metric, "word_length", lambda *args, **kwargs: gauge_above)
     with pytest.raises(AssertionError, match="hard bug"):
-        is_geodesic_by_search(h1, parse_word("x x~"))
+        geodesic_verdict(h1, parse_word("x x~"))
 
 
 # Markings for the proved-bound query, each with the radius of the naive ball it is
@@ -339,12 +338,21 @@ def test_the_parity_covector_gives_every_length_parity(name):
 
 
 def test_is_geodesic_examples(h1, cartan):
-    assert is_geodesic_word(h1, parse_word("x y x y"))
-    assert not is_geodesic_word(h1, parse_word("x x~"))
-    assert is_geodesic_word(h1, ())
+    assert geodesic_verdict(h1, parse_word("x y x y"))[0] == "certified"
+    assert geodesic_verdict(h1, parse_word("x y x~")) == ("checked", None)
+    assert geodesic_verdict(h1, parse_word("x x~")) == ("not_geodesic", None)
+    assert geodesic_verdict(h1, ()) == ("certified", None)
     # no face certificate, so a search decides; a capped search fails closed
     with pytest.raises(BudgetExceededError):
-        is_geodesic_word(cartan, parse_word("x y x~ y~ x y"), state_cap=3)
+        geodesic_verdict(cartan, parse_word("x y x~ y~ x y"), state_cap=3)
+
+
+def test_exact_length_of_a_word(h1, cartan):
+    g, length = exact_length(h1, parse_word("x y x~ y~ x x~"))
+    assert g == h1.evaluate(parse_word("x y x~ y~")) and length == 4
+    assert exact_length(h1, ()) == (h1.identity, 0)
+    with pytest.raises(BudgetExceededError, match="state cap"):
+        exact_length(cartan, parse_word("x y x~ y~ x y"), state_cap=3)
 
 
 def test_cartan_commutator_word_geodesic_by_oracle(cartan, rng):
@@ -356,7 +364,7 @@ def test_cartan_commutator_word_geodesic_by_oracle(cartan, rng):
         expected = all(
             ref[cartan.evaluate(word[:i]).key()] == i for i in range(1, len(word) + 1)
         )
-        assert is_geodesic_word(cartan, word) == expected, word
+        assert (geodesic_verdict(cartan, word)[0] != "not_geodesic") == expected, word
 
 
 @pytest.mark.parametrize("name", ["z2", "h1", "h2", "cartan"])
@@ -374,23 +382,47 @@ def test_the_letter_face_memo_equals_the_polytope_lookup(name):
 
 
 def test_face_certificate(h1, cartan):
-    cert = geodesic_certificate_by_face(h1, parse_word("x y x y x"))
-    assert cert.certified and cert.face is not None
-    assert not geodesic_certificate_by_face(h1, parse_word("x x~")).certified
-    assert not geodesic_certificate_by_face(h1, parse_word("x y y~")).certified
+    verdict, face = geodesic_verdict(h1, parse_word("x y x y x"))
+    assert verdict == "certified" and face == metric.letter_face(h1, ("x", "y"))
+    # letters on no proper face are searched
+    assert geodesic_verdict(h1, parse_word("x x~"))[0] == "not_geodesic"
+    assert geodesic_verdict(h1, parse_word("x y y~"))[0] == "not_geodesic"
     # digitized prefixes over the grid are certified
     from horocalc.horoboundary import DigitizedRay, ray_prefix
 
     word = ray_prefix(DigitizedRay((3, 2)), 12)
-    assert geodesic_certificate_by_face(cartan, word).certified
+    assert geodesic_verdict(cartan, word)[0] == "certified"
 
 
 def test_certified_words_are_geodesic(h1, rng):
-    # cross-check: every certified random word passes the exhaustive test
+    # cross-check: every certified random word has the length of its letters
     for _ in range(60):
         word = tuple(rng.choice(("x", "y")) for _ in range(rng.randint(1, 12)))
-        assert geodesic_certificate_by_face(h1, word).certified
-        assert is_geodesic_word(h1, word)
+        assert geodesic_verdict(h1, word)[0] == "certified"
+        assert exact_length(h1, word)[1] == len(word)
+
+
+# Markings for the verdict, each with the radius of the naive ball its words are checked on.
+VERDICT_RADII = {"z2": 6, "z3": 4, "h1": 6, "h1z": 5, "h2": 3, "cartan": 6, "h1-custom": 5,
+                 "cartan-custom": 5, "z2-hex": 5}
+
+
+@lru_cache(maxsize=None)
+def _verdict_oracle(name):
+    return naive_ball(KERNEL_GROUPS[name], VERDICT_RADII[name])
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(VERDICT_RADII)), data=st.data())
+def test_the_geodesic_verdict_agrees_with_the_naive_ball(name, data):
+    # a word is geodesic iff its element's naive length is len(word); certified implies geodesic
+    group = KERNEL_GROUPS[name]
+    word = data.draw(st.lists(st.sampled_from(group.labels), max_size=VERDICT_RADII[name]))
+    verdict, face = geodesic_verdict(group, word)
+    geodesic = _verdict_oracle(name)[group.evaluate(word).key()] == len(word)
+    assert verdict in ("certified", "checked", "not_geodesic")
+    assert (verdict != "not_geodesic") == geodesic
+    assert (face is not None) == (verdict == "certified" and len(word) > 0)
 
 
 # Exact lengths for the central table, by the naive BFS, which shares no code with it.
