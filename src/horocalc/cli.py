@@ -604,14 +604,16 @@ def cmd_selftest(args):
     checks["central_table_vs_ball"] = ok
 
     ok = True
-    # the plain search, which the central table answers before on H_k markings
-    for key, d in naive_ball(h1, 5).items():
-        if d:
-            lower = gauge_lower_bound(h1, h1.element(key))
-            for budget in (d - 1, d, d + 2):
-                res = _bidirectional_search(h1, key, lower, budget, DEFAULT_STATE_CAP)
-                expected = ("exact", d) if d <= budget else ("exceeds_budget", None)
-                ok &= (res.status, res.length) == expected
+    # the plain search, which the central table answers before on H_k markings; at budget d
+    # the last level, which only tests for a meeting, answers, and at d - 1 it finds none
+    for G, r in ((standard_group("z2"), 6), (h1, 5), (standard_group("h1z"), 4)):
+        for key, d in naive_ball(G, r).items():
+            if d:
+                lower = gauge_lower_bound(G, G.element(key))
+                for budget in (d - 1, d, d + 1, d + 2):
+                    res = _bidirectional_search(G, key, lower, budget, DEFAULT_STATE_CAP)
+                    expected = ("exact", d) if d <= budget else ("exceeds_budget", None)
+                    ok &= (res.status, res.length) == expected
     checks["bidirectional_search_vs_ball"] = ok
 
     ok = True
@@ -619,7 +621,7 @@ def cmd_selftest(args):
     cartan_sample = rng.sample(list(naive_ball(ca, 8).items()), 2000)
     for key, d in cartan_sample:
         g = ca.element(key)
-        for budget in (d - 1, d, d + 2) if d else (0, 2):
+        for budget in (d - 1, d, d + 1, d + 2) if d else (0, 2):
             res = word_length(ca, g, budget)
             expected = ("exact", d) if d <= budget else ("exceeds_budget", None)
             ok &= (res.status, res.length) == expected

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add, mul, sub
 from typing import Sequence
 
@@ -148,7 +148,8 @@ def ray_prefix(spec: RaySpec, n: int) -> Word:
 
 class _RayPlan:
     """One ray's first letters on one marking: ``elems[t]`` is ray_t and
-    ``sums[t]`` is ab(ray_t). Kept for the life of the process."""
+    ``sums[t]`` is ab(ray_t). Kept for the life of the process, with the
+    ray's ``face``, its ``recurring_face``, looked up on first use."""
 
     def __init__(self, group: MarkedGroup, spec: RaySpec):
         self.group, self.spec = group, spec
@@ -167,6 +168,10 @@ class _RayPlan:
                 self.sums.append(self.elems[-1].abelianized())
             self.letters = letters
         return self
+
+    @cached_property
+    def face(self) -> Face:
+        return recurring_face(self.group, self.spec)
 
 
 _ray_plan = lru_cache(maxsize=64)(_RayPlan)  # one plan per marking and ray
@@ -188,21 +193,22 @@ def _require_standard_grid(group: MarkedGroup):
 
 def validate_ray(group: MarkedGroup, spec: RaySpec, horizon: int,
                  state_cap: int = DEFAULT_STATE_CAP) -> str:
-    """Check the first ``horizon`` letters are geodesic.
+    """Check the ray is geodesic as far as its first ``horizon`` letters show.
 
     Returns the prefix's ``geodesic_verdict``: "certified" by a face (then
     every prefix, not just the checked ones, is geodesic) or "checked" by
-    one exact search. Raises SpecNotGeodesicError on failure, and
-    BudgetExceededError before any work when the horizon + 1 plan elements
-    exceed ``state_cap``.
+    one exact search. Raises BudgetExceededError before any work when the
+    horizon + 1 plan elements exceed ``state_cap``, then SpecNotGeodesicError
+    when the plan's ``face`` refuses the ray's recurring letters (whatever
+    the horizon) or the prefix is not geodesic.
     """
     if horizon + 1 > state_cap:
         raise BudgetExceededError(
             f"a ray prefix of {horizon} letters needs {horizon + 1} ray elements, "
             f"more than the state cap of {state_cap}")
-    if isinstance(spec, DigitizedRay):
-        _require_standard_grid(group)
-    word = _ray_plan(group, spec).extend(horizon).letters[:horizon]
+    plan = _ray_plan(group, spec)
+    plan.face  # raises for a ray off every proper face, before the plan grows
+    word = plan.extend(horizon).letters[:horizon]
     verdict, _ = geodesic_verdict(group, word, state_cap)
     if verdict == "not_geodesic":
         raise SpecNotGeodesicError(f"{spec} is not geodesic within horizon {horizon}")
@@ -215,6 +221,7 @@ def recurring_face(group: MarkedGroup, spec: RaySpec) -> Face:
     Raises SpecNotGeodesicError when they lie on no proper face: the ray is
     then not geodesic, whatever a finite prefix shows. A digitized ray's
     letters mean its staircase only on the standard grid, which it needs.
+    A scan reads this once per ray and marking, as its plan's ``face``.
     """
     if isinstance(spec, DigitizedRay):
         _require_standard_grid(group)
@@ -257,9 +264,10 @@ def busemann_eval(
     ``h`` is a word (its length bounds the first search) or an element with
     ``norm_budget``, a known upper bound for |h| that may be exceeded. Each
     step searches below its triangle bound n + a_{n-1}, so only the state cap
-    stops a scan.
+    stops a scan, and a value at the gauge bound is final: the steps after it
+    are filled without a search.
     """
-    recurring_face(group, spec)  # refuses a ray that is not geodesic before any search
+    _ray_plan(group, spec).face  # refuses a ray that is not geodesic before any search
     if isinstance(h, (list, tuple)):
         elem, norm = exact_length(group, h, state_cap)
     elif norm_budget is None:
@@ -274,18 +282,28 @@ def busemann_eval(
 
 def _busemann_scan(group: MarkedGroup, spec: RaySpec, elem: GroupElement, norm: int,
                    horizon: int, state_cap: int) -> BusemannEstimate:
-    """``busemann_eval`` at an element whose exact length ``norm`` is known."""
+    """``busemann_eval`` at an element whose exact length ``norm`` is known.
+
+    The values never increase (|x_n| <= |x_{n-1}| + 1), and from the prefix's
+    end p on they never fall below ``lower``: the face's functional over its
+    offset is at most 1 on every generator and 1 on every letter after p. So
+    a value equal to ``lower`` at some n - 1 >= p is final, and the rest of
+    the scan is filled with it, with no product and no search.
+    """
     validate_ray(group, spec, horizon, state_cap=state_cap)
     hinv = elem.inverse()
 
     pref_len = len(spec.prefix) if isinstance(spec, PeriodicRay) else 0
     plan = _ray_plan(group, spec).extend(max(horizon, pref_len))
-    face = recurring_face(group, spec)
+    face = plan.face
     ab = map(add, hinv.abelianized(), plan.sums[pref_len])  # ab(h^-1 ray_p) for p = pref_len
     lower = math.ceil(Fraction(sum(map(mul, face.functional, ab))) / face.offset) - pref_len
 
     values = [norm]  # values[n] = |x_n| - n for x_n = h^-1 ray_n
     for n in range(1, horizon + 1):
+        if values[-1] == lower and n > pref_len:
+            values += [lower] * (horizon + 1 - n)
+            break
         res = length_within(group, hinv * plan.elems[n], n + values[-1], state_cap)
         if not res.exact:
             break

@@ -15,10 +15,13 @@ A length query is answered by the first of three tiers that applies:
 3. Everything else, and any query a tier's charge puts over the state cap:
    the plain bidirectional level-synchronous search.
 
-The searches prune by the abelianized gauge, which lower-bounds word length
-(each generator projects into the unit ball of the gauge). The bound is
-admissible, so results are exact and "exceeds budget" is a proved claim
-whenever the frontiers were exhausted rather than capped.
+A search's last level, the one that reaches the budget, only tests the two
+sides for a meeting and holds no state. The levels before it prune by the
+abelianized gauge, which lower-bounds word length (each generator projects
+into the unit ball of the gauge). The bound is admissible, so results are
+exact and "exceeds budget" is a proved claim whenever the frontiers were
+exhausted rather than capped. The bound toward the identity is kept per
+marking; the one toward a target serves one search.
 
 A caller that holds a proved upper bound on the length asks
 ``length_within`` instead: the search runs below the bound, and the bound
@@ -37,10 +40,11 @@ prefix of it. The Cartan identity ball is its first R levels.
 One state cap bounds every enumeration, in group elements held, checked
 after every level. The central table charges the elements of every layer up
 to the one a query scans, the bidirectional search its states (the identity
-ball's entries among them when the ball seeds it), a ball its entries. The
-tiers' charges do not depend on what ran before, and a query a tier cannot
-answer within the cap runs the plain bidirectional search, so a capped answer
-never depends on earlier queries. A length query over the cap is
+ball's entries among them when the ball seeds it), a ball its entries. A
+search's last level holds no state, so it charges nothing and the cap never
+stops it. The tiers' charges do not depend on what ran before, and a query a
+tier cannot answer within the cap runs the plain bidirectional search, so a
+capped answer never depends on earlier queries. A length query over the cap is
 ``inconclusive``; a ball over it raises BudgetExceededError. The central
 table and the ball store keep what they grew for the life of the process:
 the largest ball asked for, plus the level that overflowed the cap (which an
@@ -142,7 +146,7 @@ def _gauge_ceil_fn(group: MarkedGroup) -> Callable[[tuple[int, ...]], int]:
 class _GaugeMemo(dict):
     """Abelianized point p -> max(floor, ceil gauge(target - p)), or of gauge(p) if no target.
 
-    Filled on misses only, so the gauge callable runs once per point.
+    Filled on misses only, so the gauge callable runs once per point and memo.
     """
 
     def __init__(self, gauge: Callable[[tuple[int, ...]], int],
@@ -163,8 +167,11 @@ def _steps_left_bound(group: MarkedGroup, target: tuple[int, ...] | None = None,
     The bound is max(floor, ceil gauge(target - p)) toward an element over
     ``target``, or max(floor, ceil gauge(p)) toward the identity when
     ``target`` is None. In H_k and the Cartan group many states share p, so
-    it is memoized per point and query. In an abelian group p is the state
-    itself and a memo would never hit, so the gauge is called directly.
+    it is memoized per point. In an abelian group p is the state itself and
+    a memo would never hit, so the gauge is called directly. A bound toward
+    a target serves one search; one toward the identity depends only on the
+    marking and the floor, so it is kept: ``_identity_bound`` for floor 0,
+    and ``_IdentityBall.bound`` for the floor R + 1.
     """
     gauge = _gauge_ceil_fn(group)
     if group.kind != "abelian" or floor:
@@ -172,6 +179,9 @@ def _steps_left_bound(group: MarkedGroup, target: tuple[int, ...] | None = None,
     if target is None:
         return gauge
     return lambda p: gauge(tuple(map(sub, target, p)))
+
+
+_identity_bound = lru_cache(maxsize=64)(_steps_left_bound)  # floor 0: one per marking
 
 
 def _abelian_step(s: AbelianElement) -> Step:
@@ -373,6 +383,9 @@ class _IdentityBall:
     grown the store. ``dist`` maps each element of the ball to its length and
     ``sphere`` lists those of length R. A target in the ball is a lookup; for
     one outside it the ball seeds the bidirectional search's forward side.
+    It owns that search's backward bound, ``bound``: the bound toward the
+    identity with the floor R + 1, memoized across searches, so the gauge
+    runs once per abelianized point.
     """
 
     def __init__(self, group: MarkedGroup, max_entries: int = ORACLE_BALL_ENTRIES):
@@ -382,6 +395,7 @@ class _IdentityBall:
         radius = bisect_right(store.counts, max_entries) - 1
         self.dist, self.radius = store.prefix(radius), radius
         self.sphere = [k for k, d in self.dist.items() if d == radius]
+        self.bound = _steps_left_bound(group, floor=radius + 1)
 
 
 _identity_ball = lru_cache(maxsize=64)(_IdentityBall)  # one ball per marking
@@ -536,13 +550,18 @@ def _bidirectional_search(group: MarkedGroup, start: Key, lower: int, budget: in
     ``exceeds_budget`` once df + db reaches the budget or either frontier is
     empty, and the first state that meets the other side proves |start| =
     df + db, its own level counted. The states held are checked against
-    ``state_cap`` after every level.
+    ``state_cap`` after every level. When df + db + 1 = budget the next level
+    is the last: it only tests the frontier's neighbours for a meeting
+    (``exact``, else ``exceeds_budget``), so it computes no bound and holds
+    no state, and the cap cannot stop it.
 
     Given an identity ``ball`` that does not hold ``start``, the forward side
     starts as the ball at depth R, its sphere the frontier; it is copied, and
-    its bound built, only when it first grows. A backward state outside the
-    ball is farther than R from the identity, so the backward bound has the
-    floor R + 1; a state in the ball is a meeting, tested before the prune.
+    its bound built, only when it first grows before the last level. A
+    backward state outside the ball is farther than R from the identity, so
+    the backward bound is the ball's own, with the floor R + 1; a state in
+    the ball is a meeting, tested before the prune. Without a ball the
+    backward bound is the marking's ``_identity_bound``.
     """
     steps = _step_fns(group)
     stop = 1 + group.abelian_rank
@@ -551,11 +570,10 @@ def _bidirectional_search(group: MarkedGroup, start: Key, lower: int, budget: in
         e = group.identity.key()
         fwd, fwd_frontier, df = {e: 0}, [e], 0
         fwd_h = _steps_left_bound(group, target=start[1:stop])
-        bwd_h = _steps_left_bound(group)
+        bwd_h = _identity_bound(group)
     else:
         fwd, fwd_frontier, df = ball.dist, ball.sphere, ball.radius
-        fwd_h = None
-        bwd_h = _steps_left_bound(group, floor=ball.radius + 1)
+        fwd_h, bwd_h = None, ball.bound
     held_at_start = len(fwd) + 1
 
     def result(status: str, length: int | None = None) -> LengthResult:
@@ -565,6 +583,13 @@ def _bidirectional_search(group: MarkedGroup, start: Key, lower: int, budget: in
         if not fwd_frontier or not bwd_frontier or df + db >= budget:
             return result("exceeds_budget")
         forward = len(fwd) <= len(bwd)
+        if df + db + 1 == budget:  # the last level: a meeting or nothing
+            frontier, other = (fwd_frontier, bwd) if forward else (bwd_frontier, fwd)
+            for node in frontier:
+                for step in steps:
+                    if step(node) in other:
+                        return result("exact", budget)
+            return result("exceeds_budget")
         if forward and fwd_h is None:
             fwd, fwd_h = dict(fwd), _steps_left_bound(group, target=start[1:stop])
         if forward:

@@ -86,6 +86,20 @@ def test_busemann_cli_refuses_a_ray_off_every_proper_face(capsys):
         "", "horocalc: the ray's recurring letters lie on no proper face, so it is not geodesic\n")
 
 
+OFF_FACE_RAY = '{"periodic":{"block":"x y x~ y~"}}'  # commutator block on h1
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare-rays", "--ray1", OFF_FACE_RAY, "--ray2", OFF_FACE_RAY, "--n-max", "1", "--m-max", "4"],
+    ["ray", "--ray", OFF_FACE_RAY, "--length", "4"],
+])
+def test_a_ray_off_every_proper_face_is_refused_at_any_horizon(capsys, argv):
+    # its first four letters are geodesic, so only the recurring face refuses it
+    assert main([argv[0], "--group", "h1", *argv[1:]]) == 2
+    assert capsys.readouterr() == (
+        "", "horocalc: the ray's recurring letters lie on no proper face, so it is not geodesic\n")
+
+
 def test_compare_rays_cli(capsys):
     doc = run_json(capsys, "compare-rays", "--group", "z2",
                    "--ray1", '{"periodic":{"block":"x"}}',
@@ -536,9 +550,11 @@ def test_long_ranges_are_refused_without_being_built(capsys, argv, code):
 
 
 def test_ray_validates_the_whole_requested_prefix(capsys):
-    # 21 x then z: the 66-letter prefix holds z x^21 z, which x^21 z z shortens to 65
-    block = " ".join(["x"] * 21 + ["z"])
-    argv = ("ray", "--group", "h1z", "--ray", json.dumps({"periodic": {"block": block}}))
+    # (21 x then z) three times: the 66 letters hold z x^21 z, which x^21 z z shortens to 65;
+    # the recurring x lies on a face, so only the prefix check can refuse the ray
+    prefix = " ".join((["x"] * 21 + ["z"]) * 3)
+    argv = ("ray", "--group", "h1z",
+            "--ray", json.dumps({"periodic": {"prefix": prefix, "block": "x"}}))
     assert run_json(capsys, *argv, "--length", "64")["result"]["geodesic_validation"] == "checked"
     assert run(capsys, *argv, "--length", "66") == (2, "")
     assert run(capsys, *argv, "--length", "66", "--state-cap", "10") == (3, "")

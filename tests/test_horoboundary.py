@@ -142,7 +142,7 @@ def test_validate_ray_charges_the_prefix_to_the_state_cap(monkeypatch, z2):
     # the horizon + 1 plan elements over the cap raise before the plan grows
     spec = PeriodicRay((), ("x",))
     assert validate_ray(z2, spec, 9, state_cap=10) == "certified"
-    monkeypatch.setattr(horoboundary, "_ray_plan", None)
+    monkeypatch.setattr(horoboundary._RayPlan, "extend", None)
     with pytest.raises(BudgetExceededError, match="needs 11 ray elements, more than the state cap"):
         validate_ray(z2, spec, 10, state_cap=10)
     with pytest.raises(BudgetExceededError):
@@ -184,8 +184,12 @@ def test_validate_ray_looks_up_the_letter_face_once(monkeypatch, h1, h1z):
     assert len(calls) == 1
     assert validate_ray(h1, PeriodicRay(("y",), ("x",)), 8) == "certified"
     assert len(calls) == 2
-    with pytest.raises(SpecNotGeodesicError):
+    # a ray off every proper face is refused by its plan before its prefix is looked up
+    with pytest.raises(SpecNotGeodesicError, match="no proper face"):
         validate_ray(h1, PeriodicRay((), ("x", "x~")), 6)
+    assert len(calls) == 2
+    with pytest.raises(SpecNotGeodesicError, match="not geodesic within horizon"):
+        validate_ray(h1z, PeriodicRay(("z", "z~"), ("x",)), 6)
     assert len(calls) == 3
 
 
@@ -254,8 +258,10 @@ def test_busemann_refuses_a_ray_whose_recurring_letters_lie_on_no_face(monkeypat
     # the commutator block is geodesic for 4 letters, but the values fall without bound
     spec = PeriodicRay((), parse_word("x y x~ y~"))
     assert naive_busemann_values(h1, spec, ["y"], 8) == [1, 1, 1, 1, -1, -1, -1, -1, -3]
-    assert validate_ray(h1, spec, 4) == "checked"
+    assert geodesic_verdict(h1, ray_prefix(spec, 4)) == ("checked", None)
     monkeypatch.setattr(metric, "word_length", None)  # refused before any search
+    with pytest.raises(SpecNotGeodesicError, match="no proper face"):
+        validate_ray(h1, spec, 4)
     with pytest.raises(SpecNotGeodesicError, match="no proper face"):
         busemann_eval(h1, spec, ["y"], horizon=4)
     with pytest.raises(SpecNotGeodesicError, match="no proper face"):
@@ -301,6 +307,53 @@ def test_busemann_values_match_the_naive_scan(name, data):
     est = busemann_eval(group, spec, word, horizon)
     assert est.horizon == horizon
     assert est.values == naive_busemann_values(group, spec, word, horizon)
+
+
+# (group, ray, word of h, horizon, n): the scan's value first meets its gauge bound at n,
+# counted from the end of the ray's prefix, so it searches steps 1..n only
+SCANS_THAT_MEET_THE_BOUND = [
+    ("z2", PeriodicRay(("x",), ("x",)), "x~", 6, 1),  # at the bound from n = 0, in the prefix
+    ("z2", PeriodicRay(("y",), ("x", "y")), "x x y~", 6, 4),
+    ("h1", PeriodicRay(("y", "y"), ("x",)), "y y", 6, 2),
+    ("h1", DigitizedRay((1, 2)), "y x", 8, 2),
+    ("cartan", PeriodicRay(("x", "x"), ("x",)), "x~", 5, 2),  # at the bound from n = 0 too
+    ("cartan", PeriodicRay(("y",), ("x",)), "y x~", 5, 1),
+]
+
+
+def _count_scan_steps(monkeypatch):
+    steps = []
+    length = horoboundary.length_within
+
+    def counted(*args):
+        steps.append(args)
+        return length(*args)
+
+    monkeypatch.setattr(horoboundary, "length_within", counted)
+    return steps
+
+
+@pytest.mark.parametrize("name, spec, word, horizon, n", SCANS_THAT_MEET_THE_BOUND)
+def test_a_scan_at_its_gauge_bound_searches_no_further(monkeypatch, name, spec, word, horizon,
+                                                       n):
+    group, word = standard_group(name), parse_word(word)
+    steps = _count_scan_steps(monkeypatch)
+    est = busemann_eval(group, spec, word, horizon)
+    assert est.values == naive_busemann_values(group, spec, word, horizon)
+    assert est.values[n] == est.lower_bound
+    assert est.certified and est.horizon == horizon and not est.exhausted
+    assert len(steps) == n
+
+
+def test_a_scan_at_its_gauge_bound_reaches_its_horizon_under_a_small_cap(monkeypatch, cartan):
+    # h is the ray's own point ray_2: the value meets the bound -2 at n = 2, and a cap that
+    # holds only the plan's elements still gives every value up to the horizon
+    spec, horizon = DigitizedRay((1, 1)), 30
+    steps = _count_scan_steps(monkeypatch)
+    est = busemann_eval(cartan, spec, list(ray_prefix(spec, 2)), horizon, state_cap=horizon + 1)
+    assert est.values == [2, 0] + [-2] * (horizon - 1)
+    assert est.certified and est.horizon == horizon and not est.exhausted
+    assert len(steps) == 2
 
 
 @pytest.mark.parametrize("n_max, m_max", [(-1, 3), (0, 3), (4, 3)])

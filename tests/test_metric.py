@@ -546,7 +546,8 @@ def test_the_plain_search_matches_naive_lengths(name, data):
     group = KERNEL_GROUPS[name]
     key, d = data.draw(st.sampled_from(_search_oracle(name)))
     lower = gauge_lower_bound(group, group.element(key))
-    for budget in (d - 1, d, d + 2):
+    # budget d meets on the last level, which only tests for a meeting; d - 1 finds none there
+    for budget in (d - 1, d, d + 1, d + 2):
         res = metric._bidirectional_search(group, key, lower, budget, metric.DEFAULT_STATE_CAP)
         expected = ("exact", d) if d <= budget else ("exceeds_budget", None)
         assert (res.status, res.length, res.lower_bound) == (*expected, lower), budget
@@ -581,7 +582,7 @@ def test_cartan_lengths_match_exact_balls(name, data):
     d = dist.get(g.key())  # None: longer than radius
     budgets = {data.draw(st.integers(0, radius))}
     if d is not None:
-        budgets |= {b for b in (d - 1, d, d + 2) if b >= 0}
+        budgets |= {b for b in (d - 1, d, d + 1, d + 2) if b >= 0}
     ball_radius = metric._identity_ball(group).radius
     for budget in sorted(budgets):
         res = word_length(group, g, budget)
@@ -629,13 +630,55 @@ def test_a_small_identity_ball_search_matches_naive_lengths(cartan):
         if d <= small.radius:
             continue
         lower = gauge_lower_bound(cartan, cartan.element(key))
-        for budget in (d - 1, d, d + 2):
+        for budget in (d - 1, d, d + 1, d + 2):
             if budget < lower:
                 continue
             res = metric._bidirectional_search(cartan, key, lower, budget,
                                                metric.DEFAULT_STATE_CAP, small)
             expected = ("exact", d) if d <= budget else ("exceeds_budget", None)
             assert (res.status, res.length) == expected, (key, budget)
+
+
+def test_the_last_level_holds_no_state(cartan):
+    # |g| = 6; a search below it reaches its last level within six states, and that level
+    # only tests for a meeting, so the cap cannot stop it and the proof stands
+    g = cartan.element(("c", -4, 0, -4, 12, 6))
+    assert naive_ball(cartan, 6)[g.key()] == 6
+    res = word_length(cartan, g, budget=5, state_cap=6)
+    assert (res.status, res.length) == ("exceeds_budget", None)
+    # the answer, and the states added, of the same search without a cap
+    assert res == metric._bidirectional_search(cartan, g.key(), res.lower_bound, 5,
+                                               metric.DEFAULT_STATE_CAP)
+    assert word_length(cartan, g, budget=6).exact
+
+
+def test_the_bounds_toward_the_identity_are_kept_per_marking_and_floor(monkeypatch):
+    evals = []
+    gauge_fn = metric._gauge_ceil_fn
+
+    def counted_gauge_fn(group):
+        gauge = gauge_fn(group)
+        return lambda v: evals.append(v) or gauge(v)
+
+    monkeypatch.setattr(metric, "_gauge_ceil_fn", counted_gauge_fn)
+    # a marking no other test uses, so its bounds are built under the count
+    group = marked_cartan({"u": "x y~", "v": "y"})
+    g = group.evaluate(parse_word("u v v u~ v~ v~ u v u~ v~"))  # length 10, outside the ball
+    first = word_length(group, g, 12)
+    assert first.exact and first.expanded > 0
+    assert metric._identity_ball(group).bound.__self__  # the seeded search's, floor R + 1
+    evals.clear()
+    assert word_length(group, g, 12) == first
+    assert len(evals) == 1  # the target's gauge lower bound; every backward bound is kept
+    plain = metric._bidirectional_search(group, g.key(), first.lower_bound, 12,
+                                         metric.DEFAULT_STATE_CAP)
+    assert (plain.status, plain.length) == ("exact", 10)
+    assert metric._identity_bound(group) is metric._identity_bound(group)
+    kept = len(metric._identity_bound(group).__self__)  # the plain search's, floor 0
+    assert kept
+    assert metric._bidirectional_search(group, g.key(), first.lower_bound, 12,
+                                        metric.DEFAULT_STATE_CAP) == plain
+    assert len(metric._identity_bound(group).__self__) == kept
 
 
 def test_the_cartan_ball_charges_its_entries_and_the_states_held():
