@@ -46,7 +46,6 @@ from .metric import (
     DistanceTable,
     LengthResult,
     ball,
-    distance,
     exact_length,
     geodesic_verdict,
     length_within,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import add, mul, sub
 from typing import Sequence
@@ -295,9 +294,9 @@ def _busemann_scan(group: MarkedGroup, spec: RaySpec, elem: GroupElement, norm: 
 
     pref_len = len(spec.prefix) if isinstance(spec, PeriodicRay) else 0
     plan = _ray_plan(group, spec).extend(max(horizon, pref_len))
-    face = plan.face
+    cov, off = plan.face.integer_row  # off > 0: the generating set is symmetric
     ab = map(add, hinv.abelianized(), plan.sums[pref_len])  # ab(h^-1 ray_p) for p = pref_len
-    lower = math.ceil(Fraction(sum(map(mul, face.functional, ab))) / face.offset) - pref_len
+    lower = -(-sum(map(mul, cov, ab)) // off) - pref_len
 
     values = [norm]  # values[n] = |x_n| - n for x_n = h^-1 ray_n
     for n in range(1, horizon + 1):

@@ -1,17 +1,17 @@
 """Exact word metrics on implicit Cayley graphs: balls, lengths, geodesic tests.
 
-A length query is answered by the first of three tiers that applies:
+Everything kept for a marked group is held by its ``_Marking``. A length
+query is answered by the first of three tiers that applies:
 
-1. H_k: the central table (``_CentralTable``, one per marked group, grown
-   lazily). Layer L holds, for each abelianized endpoint (a, b), the exact
-   set of central values c that words of length exactly L reach; the length
-   of (a, b, c) is the first layer from the gauge bound up that holds c.
-2. Cartan: the identity ball (``_IdentityBall``, one per marked group, taken
-   on its first query from the first levels of the group's ball store): the
-   largest complete ball around the identity with at most
-   ``ORACLE_BALL_ENTRIES`` elements. A target in it is a lookup;
-   otherwise the bidirectional search runs with the ball as its forward
-   side, R levels deep before it starts.
+1. H_k: the marking's central table (``_CentralTable``, grown lazily).
+   Layer L holds, for each abelianized endpoint (a, b), the exact set of
+   central values c that words of length exactly L reach; the length of
+   (a, b, c) is the first layer from the gauge bound up that holds c.
+2. Cartan: the identity ball (``_IdentityBall``, taken on the marking's
+   first query from the first levels of its ball store): the largest
+   complete ball around the identity with at most ``ORACLE_BALL_ENTRIES``
+   elements. A target in it is a lookup; otherwise the bidirectional search
+   runs with the ball as its forward side, R levels deep before it starts.
 3. Everything else, and any query a tier's charge puts over the state cap:
    the plain bidirectional level-synchronous search.
 
@@ -26,15 +26,15 @@ marking; the one toward a target serves one search.
 A caller that holds a proved upper bound on the length asks
 ``length_within`` instead: the search runs below the bound, and the bound
 answers once the search is exhausted. Where lengths have the parity of a
-linear form on the abelianization (``_parity_covector``), as on the standard
+linear form on the abelianization (``_Marking.parity``), as on the standard
 markings of Z^d, H_k and the Cartan group, the search stops two levels short
 of the bound, since the length of the bound's parity below it is the only one
 left; otherwise one level short.
 
-Every ball is read from the group's ball store (``_BallStore``, one per
-marked group), grown one level at a time, only as far as a query asks: an
-abelian or Cartan level by a level-synchronous expansion, an H_k level
-sphere by sphere from the central table. A ball is a copy of the store or a
+Every ball is read from the marking's ball store (``_BallStore``), grown one
+level at a time, only as far as a query asks: an abelian or Cartan level by
+a level-synchronous expansion, an H_k level sphere by sphere from the
+central table. A ball is a copy of the store or a
 prefix of it. The Cartan identity ball is its first R levels.
 
 One state cap bounds every enumeration, in group elements held, checked
@@ -46,13 +46,13 @@ stops it. The tiers' charges do not depend on what ran before, and a query a
 tier cannot answer within the cap runs the plain bidirectional search, so a
 capped answer never depends on earlier queries. A length query over the cap is
 ``inconclusive``; a ball over it raises BudgetExceededError. The central
-table and the ball store keep what they grew for the life of the process:
+table and the ball store keep what they grew as long as the marking is kept:
 the largest ball asked for, plus the level that overflowed the cap (which an
 H_k store has counted but not built).
 
 Searches run on canonical element keys (``GroupElement.key()`` tuples), not
 on element objects: each state is its own hash key, and right multiplication
-by a generator is one step function on keys (see ``_step_fns``). In every
+by a generator is one step function on keys (``_Marking.steps``). In every
 kind the abelianization is ``key[1:1 + abelian_rank]``.
 """
 
@@ -60,7 +60,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice, product
 from operator import add, mul, sub
 from typing import Callable, Iterable, Sequence
@@ -170,8 +170,8 @@ def _steps_left_bound(group: MarkedGroup, target: tuple[int, ...] | None = None,
     it is memoized per point. In an abelian group p is the state itself and
     a memo would never hit, so the gauge is called directly. A bound toward
     a target serves one search; one toward the identity depends only on the
-    marking and the floor, so it is kept: ``_identity_bound`` for floor 0,
-    and ``_IdentityBall.bound`` for the floor R + 1.
+    marking and the floor, so it is kept: ``_Marking.identity_bound`` for
+    floor 0, and ``_IdentityBall.bound`` for the floor R + 1.
     """
     gauge = _gauge_ceil_fn(group)
     if group.kind != "abelian" or floor:
@@ -179,9 +179,6 @@ def _steps_left_bound(group: MarkedGroup, target: tuple[int, ...] | None = None,
     if target is None:
         return gauge
     return lambda p: gauge(tuple(map(sub, target, p)))
-
-
-_identity_bound = lru_cache(maxsize=64)(_steps_left_bound)  # floor 0: one per marking
 
 
 def _abelian_step(s: AbelianElement) -> Step:
@@ -215,15 +212,50 @@ def _cartan_step(s: CartanElement) -> Step:
 _STEP_MAKERS = {"abelian": _abelian_step, "heisenberg": _heisenberg_step, "cartan": _cartan_step}
 
 
-@lru_cache(maxsize=64)
-def _step_fns(group: MarkedGroup) -> tuple[Step, ...]:
-    """Right multiplication by each generator, in label order, as a map on keys.
+class _Marking:
+    """Everything the metric keeps for one marked group, held by ``_marking``.
 
-    Rank-2 abelian groups get a step specialised to their rank; every other
-    marking uses the generic step of its kind.
+    Built with it: ``steps``, right multiplication by each generator in label
+    order as a map on keys; ``table``, an H_k marking's central table, else
+    None; ``store``, the ball store, which reads that same table. Built on
+    first read: ``identity_ball``, ``identity_bound`` and ``parity``. The last
+    two need the hull's polytope, which no marking above ``polytope.MAX_DIM``
+    has, so ``ball`` never reads them. All of it grows only as queries ask
+    and is kept, and dropped, together: until the marking falls out of the
+    64 most recently used.
     """
-    make = _STEP_MAKERS[group.kind]
-    return tuple(make(s) for _, s in group.generator_items())
+
+    def __init__(self, group: MarkedGroup):
+        self.group = group
+        make = _STEP_MAKERS[group.kind]
+        self.steps: tuple[Step, ...] = tuple(make(s) for _, s in group.generator_items())
+        self.table = _CentralTable(self) if group.kind == "heisenberg" else None
+        self.store = _BallStore(self)
+
+    @cached_property
+    def identity_ball(self) -> _IdentityBall:
+        return _IdentityBall(self)
+
+    @cached_property
+    def identity_bound(self) -> Callable[[tuple[int, ...]], int]:
+        return _steps_left_bound(self.group)
+
+    @cached_property
+    def parity(self) -> tuple[int, ...] | None:
+        """f in {0,1}^d with f.ab(s) odd for every generator s, or None if there is none.
+
+        Given f, every word for g has length congruent to f.ab(g) mod 2, so
+        every relator has even length. There is none when some relator is
+        odd, as with a central generator or with (1, 1) beside x and y. The
+        hull's polytope allows d <= 4, so at most 16 candidates are tried.
+        """
+        projected_polytope(self.group)  # raises above polytope.MAX_DIM
+        gens = [s.abelianized() for _, s in self.group.generator_items()]
+        return next((f for f in product((0, 1), repeat=self.group.abelian_rank)
+                     if all(sum(map(mul, f, v)) % 2 for v in gens)), None)
+
+
+_marking = lru_cache(maxsize=64)(_Marking)
 
 
 class _CentralTable:
@@ -239,9 +271,10 @@ class _CentralTable:
     state is counted in; both depend only on the marking and L.
     """
 
-    def __init__(self, group: MarkedGroup):
-        self.steps = _step_fns(group)
-        self.layers: list[dict[Key, tuple[int, int]]] = [{(0,) * (2 * group.params): (0, 1)}]
+    def __init__(self, marking: _Marking):
+        self.steps = marking.steps
+        origin = (0,) * (2 * marking.group.params)
+        self.layers: list[dict[Key, tuple[int, int]]] = [{origin: (0, 1)}]
         self.sizes = [1]
         self.charges = [1]
 
@@ -286,9 +319,6 @@ class _CentralTable:
         return LengthResult("exceeds_budget", None, lower, 0)
 
 
-_central_table = lru_cache(maxsize=64)(_CentralTable)  # one table per marking
-
-
 class _BallStore:
     """The exact ball around the identity of one marking, grown on demand.
 
@@ -303,14 +333,12 @@ class _BallStore:
     L - 1 and L - 2 masks there. ``sphere`` then lists (key head, lo, mask)
     per endpoint, and the level's entries are built only when the next
     ``grow`` or a ``prefix`` needs them, so a level counted over a cap is
-    never built. A level is grown only when a query asks for it, and what was
-    grown is kept for the life of the process.
+    never built. A level is grown only when a query asks for it.
     """
 
-    def __init__(self, group: MarkedGroup):
-        self.steps = _step_fns(group)
-        self.table = _central_table(group) if group.kind == "heisenberg" else None
-        e = group.identity.key()
+    def __init__(self, marking: _Marking):
+        self.steps, self.table = marking.steps, marking.table
+        e = marking.group.identity.key()
         self.dist: dict[Key, int] = {e: 0}
         self.counts = [1]
         self.sphere: list = [e]
@@ -370,35 +398,29 @@ class _BallStore:
         return dict(islice(self.dist.items(), self.counts[radius]))
 
 
-_ball_store = lru_cache(maxsize=64)(_BallStore)  # one store per marking
-
-
 class _IdentityBall:
     """The largest complete ball around the identity with at most ``max_entries`` elements.
 
-    One per marked Cartan group, built on its first length query: R is the
-    largest radius whose ball in the group's store has at most
-    ``max_entries`` elements, and ``dist`` is a copy of those first R levels,
-    so R, the entries and the charge do not depend on how far ``ball`` has
-    grown the store. ``dist`` maps each element of the ball to its length and
-    ``sphere`` lists those of length R. A target in the ball is a lookup; for
-    one outside it the ball seeds the bidirectional search's forward side.
+    Built on a Cartan marking's first length query: R is the largest radius
+    whose ball in the marking's store has at most ``max_entries`` elements,
+    and ``dist`` is a copy of those first R levels, so R, the entries and
+    the charge do not depend on how far ``ball`` has grown the store.
+    ``dist`` maps each element of the ball to its length and ``sphere``
+    lists those of length R. A target in the ball is a lookup; for one
+    outside it the ball seeds the bidirectional search's forward side.
     It owns that search's backward bound, ``bound``: the bound toward the
     identity with the floor R + 1, memoized across searches, so the gauge
     runs once per abelianized point.
     """
 
-    def __init__(self, group: MarkedGroup, max_entries: int = ORACLE_BALL_ENTRIES):
-        store = _ball_store(group)
+    def __init__(self, marking: _Marking, max_entries: int = ORACLE_BALL_ENTRIES):
+        store = marking.store
         while store.counts[-1] <= max_entries:
             store.grow()
         radius = bisect_right(store.counts, max_entries) - 1
         self.dist, self.radius = store.prefix(radius), radius
         self.sphere = [k for k, d in self.dist.items() if d == radius]
-        self.bound = _steps_left_bound(group, floor=radius + 1)
-
-
-_identity_ball = lru_cache(maxsize=64)(_IdentityBall)  # one ball per marking
+        self.bound = _steps_left_bound(marking.group, floor=radius + 1)
 
 
 def gauge_lower_bound(group: MarkedGroup, g: GroupElement) -> int:
@@ -409,7 +431,7 @@ def gauge_lower_bound(group: MarkedGroup, g: GroupElement) -> int:
 def ball(group: MarkedGroup, radius: int, state_cap: int = DEFAULT_STATE_CAP) -> DistanceTable:
     """Complete exact ball of the given radius around the identity.
 
-    Every ball is read from the group's ball store, whose H_k levels come
+    Every ball is read from the marking's ball store, whose H_k levels come
     from the central table: a copy of the whole store, or a prefix of it.
     The store's content is deterministic, and the returned entries are the
     caller's own.
@@ -420,7 +442,7 @@ def ball(group: MarkedGroup, radius: int, state_cap: int = DEFAULT_STATE_CAP) ->
     """
     if radius < 0:
         raise DegenerateInputError("radius must be >= 0")
-    store = _ball_store(group)
+    store = _marking(group).store
     for level in range(radius + 1):
         if level == len(store.counts):
             store.grow()
@@ -454,21 +476,6 @@ class LengthResult:
         return self.status == "exact"
 
 
-@lru_cache(maxsize=64)
-def _parity_covector(group: MarkedGroup) -> tuple[int, ...] | None:
-    """f in {0,1}^d with f.ab(s) odd for every generator s, or None if there is none.
-
-    Given f, every word for g has length congruent to f.ab(g) mod 2, so every
-    relator has even length. There is none when some relator is odd, as with
-    a central generator or with (1, 1) beside x and y. The hull's polytope
-    allows d <= 4, so at most 16 candidates are tried.
-    """
-    projected_polytope(group)  # raises above polytope.MAX_DIM
-    gens = [s.abelianized() for _, s in group.generator_items()]
-    return next((f for f in product((0, 1), repeat=group.abelian_rank)
-                 if all(sum(map(mul, f, v)) % 2 for v in gens)), None)
-
-
 def word_length(
     group: MarkedGroup,
     g: GroupElement,
@@ -477,7 +484,7 @@ def word_length(
 ) -> LengthResult:
     """Exact word length of g if <= budget, otherwise a proof that it exceeds it.
 
-    Heisenberg lengths come from the group's central table while its charge
+    Heisenberg lengths come from the marking's central table while its charge
     stays within ``state_cap``. A Cartan target in the identity ball is a
     lookup while the ball is within the cap; one outside it, while the ball
     and the target are, is searched for with the ball as the forward side.
@@ -494,12 +501,13 @@ def word_length(
         return LengthResult("exact", 0, lower, 0)
     if lower > budget:
         return LengthResult("exceeds_budget", None, lower, 0)
-    if group.kind == "heisenberg":
-        res = _central_table(group).lookup(start, lower, budget, state_cap)
+    marking = _marking(group)
+    if marking.table is not None:
+        res = marking.table.lookup(start, lower, budget, state_cap)
         if res is not None:
             return res
     elif group.kind == "cartan":
-        ball = _identity_ball(group)
+        ball = marking.identity_ball
         d = ball.dist.get(start)
         if d is not None and len(ball.dist) <= state_cap:
             if d <= budget:
@@ -524,7 +532,7 @@ def length_within(group: MarkedGroup, g: GroupElement, upper: int,
     gauge bound above top, or with f an exact answer of the other parity,
     contradicts the bound and raises as a hard bug.
     """
-    f = _parity_covector(group)
+    f = _marking(group).parity
     if f is None:
         top, gap = upper, 1
     else:
@@ -561,16 +569,17 @@ def _bidirectional_search(group: MarkedGroup, start: Key, lower: int, budget: in
     backward state outside the ball is farther than R from the identity, so
     the backward bound is the ball's own, with the floor R + 1; a state in
     the ball is a meeting, tested before the prune. Without a ball the
-    backward bound is the marking's ``_identity_bound``.
+    backward bound is the marking's ``identity_bound``.
     """
-    steps = _step_fns(group)
+    marking = _marking(group)
+    steps = marking.steps
     stop = 1 + group.abelian_rank
     bwd, bwd_frontier, db = {start: 0}, [start], 0
     if ball is None:
         e = group.identity.key()
         fwd, fwd_frontier, df = {e: 0}, [e], 0
         fwd_h = _steps_left_bound(group, target=start[1:stop])
-        bwd_h = _identity_bound(group)
+        bwd_h = marking.identity_bound
     else:
         fwd, fwd_frontier, df = ball.dist, ball.sphere, ball.radius
         fwd_h, bwd_h = None, ball.bound
@@ -613,17 +622,6 @@ def _bidirectional_search(group: MarkedGroup, start: Key, lower: int, budget: in
             fwd_frontier, df = nxt, depth
         else:
             bwd_frontier, db = nxt, depth
-
-
-def distance(
-    group: MarkedGroup,
-    g: GroupElement,
-    h: GroupElement,
-    budget: int,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> LengthResult:
-    """d(g, h) = |g^{-1} h| under left invariance."""
-    return word_length(group, g.inverse() * h, budget, state_cap)
 
 
 def letter_face(group: MarkedGroup, letters: Iterable[str]) -> Face | None:

@@ -77,6 +77,12 @@ class Face:
     def member_key(self, polytope: "Polytope") -> tuple:
         return tuple(sorted(polytope.points[i] for i in self.members))
 
+    @cached_property
+    def integer_row(self) -> tuple[tuple[int, ...], int]:
+        """(covector, offset): the functional and offset with denominators cleared."""
+        scale = math.lcm(*(c.denominator for c in self.functional), self.offset.denominator)
+        return tuple(int(c * scale) for c in self.functional), int(self.offset * scale)
+
 
 IMPROPER = None  # sentinel returned by minimal_face when no proper face fits
 
@@ -207,12 +213,8 @@ class Polytope:
         return max(_dot(f.functional, vv) / f.offset for f in self.facets)
 
     def integer_facets(self) -> list[tuple[tuple[int, ...], int]]:
-        """Facet data (covector, offset) with denominators cleared.
+        """Each facet's ``integer_row``.
 
         ceil(gauge(v)) = max_i ceildiv(covector_i . v, offset_i) for integer v.
         """
-        out = []
-        for f in self.facets:
-            scale = math.lcm(*(c.denominator for c in f.functional), f.offset.denominator)
-            out.append((tuple(int(c * scale) for c in f.functional), int(f.offset * scale)))
-        return out
+        return [f.integer_row for f in self.facets]

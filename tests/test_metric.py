@@ -17,9 +17,8 @@ from horocalc.groups import (
 from horocalc import metric
 from horocalc.metric import (
     LengthResult,
-    _step_fns,
+    _marking,
     ball,
-    distance,
     exact_length,
     gauge_lower_bound,
     geodesic_verdict,
@@ -70,7 +69,7 @@ def test_step_fns_match_element_products(name, data):
     word = data.draw(st.lists(st.sampled_from(group.labels), max_size=10))
     size = len(group.identity.key()) - 1
     coords = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=size, max_size=size))
-    steps = _step_fns(group)
+    steps = _marking(group).steps
     for g in (group.evaluate(word), group.element(group.identity.key()[:1] + tuple(coords))):
         assert group.element(g.key()) == g
         for (_, s), step in zip(group.generator_items(), steps, strict=True):
@@ -171,7 +170,7 @@ def test_the_ball_store_gives_the_same_balls_in_any_order(name, data):
     calls = data.draw(st.lists(st.tuples(st.integers(0, STORE_RADII[name]),
                                          st.one_of(near, st.integers(0, counts[-1] + 1))),
                                min_size=1, max_size=6))
-    metric._ball_store.cache_clear()  # every sequence starts from an empty store
+    metric._marking.cache_clear()  # every sequence starts from an empty store
     for radius, cap in calls:
         if counts[radius] > cap:
             with pytest.raises(BudgetExceededError) as err:
@@ -196,8 +195,8 @@ def test_the_ball_store_gives_the_same_balls_in_any_order(name, data):
 def test_an_h_k_sphere_over_the_cap_is_counted_not_built(name):
     group = KERNEL_GROUPS[name]
     naive, counts = _naive_store_ball(name)
-    metric._ball_store.cache_clear()
-    store = metric._ball_store(group)
+    metric._marking.cache_clear()
+    store = metric._marking(group).store
     for radius in range(1, STORE_RADII[name] + 1):
         with pytest.raises(BudgetExceededError) as err:
             ball(group, radius, state_cap=counts[radius] - 1)
@@ -266,12 +265,6 @@ def test_word_length_inconclusive_on_tiny_cap(cartan):
     assert res.status == "inconclusive"
 
 
-def test_distance_wrapper(h1):
-    g = h1.evaluate(parse_word("x"))
-    h = h1.evaluate(parse_word("x y"))
-    assert distance(h1, g, h, budget=4).length == 1
-
-
 def test_gauge_lower_bound(h1, cartan):
     g = h1.evaluate(parse_word("x x y"))
     assert gauge_lower_bound(h1, g) == 3
@@ -286,6 +279,15 @@ def test_a_degenerate_hull_gauges_every_element_by_zero():
         assert gauge_lower_bound(group, g) == 0
         res = word_length(group, g, budget=4)
         assert (res.status, res.length) == ("exact", ref[key])
+
+
+def test_a_ball_above_the_polytope_dimension_needs_no_gauge():
+    # the hull of a rank-5 marking has no polytope, so no gauge bound and no parity
+    units = {label: [int(i == j) for j in range(5)] for i, label in enumerate("abcde")}
+    group = marked_abelian(5, units)
+    assert len(ball(group, 2)) == 61  # 1 + 10 + 50
+    with pytest.raises(DegenerateInputError, match="dimension 5 exceeds 4"):
+        word_length(group, group.evaluate(parse_word("a b")), 2)
 
 
 def test_geodesic_search_at_the_word_length_never_exceeds_it(monkeypatch, h1):
@@ -324,7 +326,7 @@ def test_length_within_matches_a_search_at_the_bound(name, data):
 @pytest.mark.parametrize("name", sorted(WITHIN_RADII))
 def test_the_parity_covector_gives_every_length_parity(name):
     group = KERNEL_GROUPS[name]
-    f = metric._parity_covector(group)
+    f = _marking(group).parity
     dist = dict(_within_oracle(name))
     gens = [s for _, s in group.generator_items()]
     # an edge inside a sphere closes an odd cycle, so an odd relator
@@ -483,9 +485,9 @@ def _check_capped_queries_do_not_depend_on_earlier_queries(kind):
     # a ball grows the twin's table or store past every level the queries use
     ball(twin, 10)
     if kind == "heisenberg":
-        assert len(metric._central_table(twin).layers) == 11
+        assert len(_marking(twin).table.layers) == 11
     else:
-        assert len(metric._ball_store(twin).counts) == 11
+        assert len(_marking(twin).store.counts) == 11
     assert capped(twin, "s t s~ t~ s t") == cold
 
 
@@ -507,7 +509,7 @@ def test_the_table_charges_every_element_of_the_layers_it_scans(h1):
 def test_the_table_never_builds_a_layer_its_floor_puts_over_the_cap():
     # a marking no other test uses, so its table starts empty here
     group = marked_heisenberg(1, {"p": [1, 0, 1], "q": [0, 1, 2]})
-    probe = metric._CentralTable(group)
+    probe = metric._CentralTable(_marking(group))
     for _ in range(6):
         probe._grow()
     # layer 6 holds every element of layer 4 (append s s~): this cap rules it out unbuilt
@@ -516,14 +518,30 @@ def test_the_table_never_builds_a_layer_its_floor_puts_over_the_cap():
     g = group.evaluate(parse_word("p p p q q q"))
     lower = gauge_lower_bound(group, g)
     res = word_length(group, g, budget=6, state_cap=cap)
-    assert len(metric._central_table(group).layers) == 6  # layers 0..5 only
+    assert len(_marking(group).table.layers) == 6  # layers 0..5 only
     # the answer a table that built layer 6 and found it over the cap gives: the search's
     assert res == metric._bidirectional_search(group, g.key(), lower, 6, cap)
     assert (res.status, res.length) == ("exact", 6) and res.expanded > 0
     # a cap that holds layer 6 still gets the table's answer
     res = word_length(group, g, budget=6, state_cap=probe.charges[6])
     assert res == LengthResult("exact", 6, lower, 0)
-    assert len(metric._central_table(group).layers) == 7
+    assert len(_marking(group).table.layers) == 7
+
+
+def test_a_marking_keeps_one_central_table(monkeypatch):
+    # a ball and a length query on one marking read the same table, however many
+    # other markings ask for lengths in between
+    group = marked_heisenberg(1, {"p": [1, 0, 0], "q": [0, 1, 0]})
+    word = parse_word("p q p~ q~")
+    for i in range(70):
+        ball(group, 4)
+        other = marked_heisenberg(1, {"p": [1, 0, i + 1], "q": [0, 1, 0]})
+        word_length(other, other.evaluate(word), 4)
+    grows = []
+    grow = metric._CentralTable._grow
+    monkeypatch.setattr(metric._CentralTable, "_grow", lambda table: grows.append(1) or grow(table))
+    assert word_length(group, group.evaluate(word), 4).exact
+    assert grows == []  # the ball grew layers 0..4 already
 
 
 # Exact lengths for the plain search on every marking, H_k included: the tiers answer
@@ -583,7 +601,7 @@ def test_cartan_lengths_match_exact_balls(name, data):
     budgets = {data.draw(st.integers(0, radius))}
     if d is not None:
         budgets |= {b for b in (d - 1, d, d + 1, d + 2) if b >= 0}
-    ball_radius = metric._identity_ball(group).radius
+    ball_radius = _marking(group).identity_ball.radius
     for budget in sorted(budgets):
         res = word_length(group, g, budget)
         assert res.status != "inconclusive"
@@ -624,7 +642,7 @@ def test_cartan_ball_search_agrees_with_the_bidirectional_search(name, rng):
 
 def test_a_small_identity_ball_search_matches_naive_lengths(cartan):
     # radius 3: targets up to radius 6 are met up to three levels beyond the ball
-    small = metric._IdentityBall(cartan, 60)
+    small = metric._IdentityBall(_marking(cartan), 60)
     assert small.radius == 3
     for key, d in naive_ball(cartan, 6).items():
         if d <= small.radius:
@@ -666,19 +684,19 @@ def test_the_bounds_toward_the_identity_are_kept_per_marking_and_floor(monkeypat
     g = group.evaluate(parse_word("u v v u~ v~ v~ u v u~ v~"))  # length 10, outside the ball
     first = word_length(group, g, 12)
     assert first.exact and first.expanded > 0
-    assert metric._identity_ball(group).bound.__self__  # the seeded search's, floor R + 1
+    assert _marking(group).identity_ball.bound.__self__  # the seeded search's, floor R + 1
     evals.clear()
     assert word_length(group, g, 12) == first
     assert len(evals) == 1  # the target's gauge lower bound; every backward bound is kept
     plain = metric._bidirectional_search(group, g.key(), first.lower_bound, 12,
                                          metric.DEFAULT_STATE_CAP)
     assert (plain.status, plain.length) == ("exact", 10)
-    assert metric._identity_bound(group) is metric._identity_bound(group)
-    kept = len(metric._identity_bound(group).__self__)  # the plain search's, floor 0
+    assert _marking(group).identity_bound is _marking(group).identity_bound
+    kept = len(_marking(group).identity_bound.__self__)  # the plain search's, floor 0
     assert kept
     assert metric._bidirectional_search(group, g.key(), first.lower_bound, 12,
                                         metric.DEFAULT_STATE_CAP) == plain
-    assert len(metric._identity_bound(group).__self__) == kept
+    assert len(_marking(group).identity_bound.__self__) == kept
 
 
 def test_the_cartan_ball_charges_its_entries_and_the_states_held():
@@ -699,9 +717,9 @@ def _check_the_cartan_ball_charges(grown):
     held = 17  # backward states held after the last level before the one that meets the ball
     caps = (size - 1, size, size + held - 1, size + held, metric.DEFAULT_STATE_CAP)
     cold = [word_length(group, g, 12, state_cap=cap) for cap in caps]
-    oracle = metric._identity_ball(group)
+    oracle = _marking(group).identity_ball
     assert (oracle.radius, len(oracle.dist), size) == (7, size, 4205)
-    assert len(metric._ball_store(group).counts) == (11 if grown else 9)
+    assert len(_marking(group).store.counts) == (11 if grown else 9)
     warm = [word_length(group, g, 12, state_cap=cap) for cap in caps]
     assert cold == warm
     for cap, res in zip(caps, cold):
