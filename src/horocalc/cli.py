@@ -523,8 +523,8 @@ def cmd_selftest(args):
     from .classifier import anagram_set
     from .groups import cartan_word_element, marked_heisenberg
     from .horoboundary import DigitizedRay, PeriodicRay, reduced_equiv
-    from .metric import _bidirectional_search, gauge_lower_bound, geodesic_verdict, length_within
-    from .metric import ball as _ball, word_length
+    from .metric import _bidirectional_search, _h1_length, gauge_lower_bound, geodesic_verdict
+    from .metric import ball as _ball, length_within, word_length
     from .reference import (
         brute_force_anagram_offsets,
         brute_force_detour_pairings,
@@ -602,6 +602,8 @@ def cmd_selftest(args):
                 expected = ("exact", d) if d <= budget else ("exceeds_budget", None)
                 ok &= (res.status, res.length) == expected
     checks["central_table_vs_ball"] = ok
+    checks["h1_length_vs_ball"] = all(_h1_length(*key[1:]) == d
+                                      for key, d in naive_ball(h1, 8).items())
 
     ok = True
     # the plain search, which the central table answers before on H_k markings; at budget d

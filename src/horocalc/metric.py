@@ -16,12 +16,14 @@ query is answered by the first of three tiers that applies:
    the plain bidirectional level-synchronous search.
 
 A search's last level, the one that reaches the budget, only tests the two
-sides for a meeting and holds no state. The levels before it prune by the
-abelianized gauge, which lower-bounds word length (each generator projects
-into the unit ball of the gauge). The bound is admissible, so results are
-exact and "exceeds budget" is a proved claim whenever the frontiers were
-exhausted rather than capped. The bound toward the identity is kept per
-marking; the one toward a target serves one search.
+sides for a meeting and holds no state. The levels before it prune by a
+lower bound on the steps left: on a Cartan marking whose generators map onto
+x^±1, y^±1 of the standard H_1, the H_1 length of the state's image
+(``_h1_length``, in closed form); on every other marking the abelianized
+gauge (each generator projects into the unit ball of the gauge). Both bounds
+are admissible, so results are exact and "exceeds budget" is a proved claim
+whenever the frontiers were exhausted rather than capped. The bound toward
+the identity is kept per marking; the one toward a target serves one search.
 
 A caller that holds a proved upper bound on the length asks
 ``length_within`` instead: the search runs below the bound, and the bound
@@ -53,7 +55,8 @@ H_k store has counted but not built).
 Searches run on canonical element keys (``GroupElement.key()`` tuples), not
 on element objects: each state is its own hash key, and right multiplication
 by a generator is one step function on keys (``_Marking.steps``). In every
-kind the abelianization is ``key[1:1 + abelian_rank]``.
+kind the abelianization is ``key[1:1 + abelian_rank]``; a search's bound reads
+``key[1:_Marking.bound_stop]``, which is (x, y, 2·area) for the H_1 quotient.
 """
 
 from __future__ import annotations
@@ -143,42 +146,92 @@ def _gauge_ceil_fn(group: MarkedGroup) -> Callable[[tuple[int, ...]], int]:
     return gauge_ceil
 
 
-class _GaugeMemo(dict):
-    """Abelianized point p -> max(floor, ceil gauge(target - p)), or of gauge(p) if no target.
+def _h1_length(a: int, b: int, c: int) -> int:
+    """Exact word length of ('h', a, b, c) on the standard H_1 marking {x, y, x~, y~}.
 
-    Filled on misses only, so the gauge callable runs once per point and memo.
+    By the key's convention c sums, over a word's letters y^±1, ± the a
+    reached before the letter. Let A, B = |a|, |b|, L >= A + B of the parity
+    of A + B, s = (L - A - B)/2 and top(L) = max over 0 <= h <= s of
+    (A + h)(B + s - h), less AB when ab < 0. The words of length exactly L
+    that end over (a, b) reach exactly the c in [ab - top(L), top(L)]
+    (Blachère, Colloq. Math. 95, 2003):
+
+    - Top, for a, b >= 0. Let a word have h letters x~, so a + h letters x,
+      s - h letters y~ and b + s - h letters y, and let its a range over
+      [-p, M]. A y adds at most M to c and a y~ at most p. The x~ letters take
+      a down from 0 to -p and from M to a, or from M to -p, so M + p <= a + h
+      and c <= M(b + s - h) + p(s - h) <= (a + h)(b + s - h) - pb. The word
+      y~^(s-h) x^(a+h) y^(b+s-h) x~^h attains it. Swapping x with x~, or y
+      with y~, negates c, and swapping x with y takes c to ab - c: hence the
+      other quadrants and the bottom.
+    - Interval. Swapping two adjacent letters moves c by at most 1, so the
+      rearrangements of a word reach an interval of c, which holds ab (all
+      x-letters first).
+    - Nesting. Appending x x~ puts layer L into layer L + 2, and each letter
+      changes the parity of a + b, so |g| is the least such L with c in it.
+
+    (A + h)(B + s - h) is concave in h and peaks at the integer (B + s - A)//2.
     """
+    A, B, L = abs(a), abs(b), abs(a) + abs(b)
+    while True:
+        s = (L - A - B) // 2
+        h = min(max((B + s - A) // 2, 0), s)
+        top = (A + h) * (B + s - h) - (A * B if a * b < 0 else 0)
+        if a * b - top <= c <= top:
+            return L
+        L += 2
 
-    def __init__(self, gauge: Callable[[tuple[int, ...]], int],
-                 target: tuple[int, ...] | None = None, floor: int = 0):
+
+class _BoundMemo(dict):
+    """Key prefix p -> max(floor, dist(p)), filled on misses only, so dist runs once per p."""
+
+    def __init__(self, dist: Callable[[tuple[int, ...]], int], floor: int):
         super().__init__()
-        self.gauge, self.target, self.floor = gauge, target, floor
+        self.dist, self.floor = dist, floor
 
     def __missing__(self, p: tuple[int, ...]) -> int:
-        v = p if self.target is None else tuple(map(sub, self.target, p))
-        bound = self[p] = max(self.gauge(v), self.floor)
+        bound = self[p] = max(self.dist(p), self.floor)
         return bound
 
 
-def _steps_left_bound(group: MarkedGroup, target: tuple[int, ...] | None = None,
-                      floor: int = 0) -> Callable[[tuple[int, ...]], int]:
-    """A search's lower bound on the steps left from a state, as a map on its abelianized point p.
+_H1_LETTERS = {(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)}  # x^±1, y^±1 of standard H_1
 
-    The bound is max(floor, ceil gauge(target - p)) toward an element over
-    ``target``, or max(floor, ceil gauge(p)) toward the identity when
-    ``target`` is None. In H_k and the Cartan group many states share p, so
-    it is memoized per point. In an abelian group p is the state itself and
-    a memo would never hit, so the gauge is called directly. A bound toward
-    a target serves one search; one toward the identity depends only on the
-    marking and the floor, so it is kept: ``_Marking.identity_bound`` for
-    floor 0, and ``_IdentityBall.bound`` for the floor R + 1.
+
+def _h1_image(p: tuple[int, ...]) -> tuple[int, int, int]:
+    """π(('c', x, y, a2, ...)) = ('h', x, y, (a2 + xy)/2), read from p = (x, y, a2)."""
+    x, y, a2 = p
+    return x, y, (a2 + x * y) // 2
+
+
+def _steps_left_bound(marking: _Marking, target: tuple[int, ...] | None = None,
+                      floor: int = 0) -> Callable[[tuple[int, ...]], int]:
+    """A search's lower bound on the steps left from a state k, as a map on p = k[1:bound_stop].
+
+    With ``_Marking.h1_quotient``, p = (x, y, a2) and the bound is max(floor,
+    |π(k)⁻¹π(t)|_H1) toward t, the element over ``target``, or toward t = e
+    when ``target`` is None: π is a homomorphism taking each generator to one
+    of H_1 length 1, so it lengthens no word, and the gauge factors through
+    π, so the bound is never below it. Otherwise p is the abelianized point
+    and the bound is max(floor, ceil gauge(target - p)), or of gauge(p). Many
+    states share p except in an abelian group, where p is the state itself
+    and a memo would never hit, so the gauge is called directly. A bound
+    toward a target serves one search; one toward the identity depends only
+    on the marking and the floor, so it is kept: ``_Marking.identity_bound``
+    for floor 0, and ``_IdentityBall.bound`` for the floor R + 1.
     """
-    gauge = _gauge_ceil_fn(group)
-    if group.kind != "abelian" or floor:
-        return _GaugeMemo(gauge, target, floor).__getitem__
-    if target is None:
-        return gauge
-    return lambda p: gauge(tuple(map(sub, target, p)))
+    if marking.h1_quotient:
+        tx, ty, tc = _h1_image(target or (0, 0, 0))
+
+        def dist(p):  # the H_1 length of π(k)⁻¹π(t)
+            x, y, c = _h1_image(p)
+            return _h1_length(tx - x, ty - y, tc - c - x * (ty - y))
+
+        return _BoundMemo(dist, floor).__getitem__
+    gauge = _gauge_ceil_fn(marking.group)
+    dist = gauge if target is None else lambda p: gauge(tuple(map(sub, target, p)))
+    if marking.group.kind == "abelian" and not floor:
+        return dist
+    return _BoundMemo(dist, floor).__getitem__
 
 
 def _abelian_step(s: AbelianElement) -> Step:
@@ -217,9 +270,13 @@ class _Marking:
 
     Built with it: ``steps``, right multiplication by each generator in label
     order as a map on keys; ``table``, an H_k marking's central table, else
-    None; ``store``, the ball store, which reads that same table. Built on
-    first read: ``identity_ball``, ``identity_bound`` and ``parity``. The last
-    two need the hull's polytope, which no marking above ``polytope.MAX_DIM``
+    None; ``store``, the ball store, which reads that same table;
+    ``h1_quotient``, whether π maps the generators exactly onto x^±1, y^±1 of
+    the standard H_1 (Cartan only), and ``bound_stop``, the end of the key
+    prefix a search's bound reads: 4 if so, else 1 + rank; ``faces``, the
+    letter faces by label set, filled as ``letter_face`` asks. Built on first
+    read: ``identity_ball``, ``identity_bound`` and ``parity``. The last two
+    may need the hull's polytope, which no marking above ``polytope.MAX_DIM``
     has, so ``ball`` never reads them. All of it grows only as queries ask
     and is kept, and dropped, together: until the marking falls out of the
     64 most recently used.
@@ -231,6 +288,10 @@ class _Marking:
         self.steps: tuple[Step, ...] = tuple(make(s) for _, s in group.generator_items())
         self.table = _CentralTable(self) if group.kind == "heisenberg" else None
         self.store = _BallStore(self)
+        self.h1_quotient = group.kind == "cartan" and _H1_LETTERS == {
+            _h1_image(s.key()[1:4]) for _, s in group.generator_items()}
+        self.bound_stop = 4 if self.h1_quotient else 1 + group.abelian_rank
+        self.faces: dict[frozenset[str], Face | None] = {}
 
     @cached_property
     def identity_ball(self) -> _IdentityBall:
@@ -238,7 +299,7 @@ class _Marking:
 
     @cached_property
     def identity_bound(self) -> Callable[[tuple[int, ...]], int]:
-        return _steps_left_bound(self.group)
+        return _steps_left_bound(self)
 
     @cached_property
     def parity(self) -> tuple[int, ...] | None:
@@ -420,7 +481,7 @@ class _IdentityBall:
         radius = bisect_right(store.counts, max_entries) - 1
         self.dist, self.radius = store.prefix(radius), radius
         self.sphere = [k for k, d in self.dist.items() if d == radius]
-        self.bound = _steps_left_bound(marking.group, floor=radius + 1)
+        self.bound = _steps_left_bound(marking, floor=radius + 1)
 
 
 def gauge_lower_bound(group: MarkedGroup, g: GroupElement) -> int:
@@ -572,13 +633,12 @@ def _bidirectional_search(group: MarkedGroup, start: Key, lower: int, budget: in
     backward bound is the marking's ``identity_bound``.
     """
     marking = _marking(group)
-    steps = marking.steps
-    stop = 1 + group.abelian_rank
+    steps, stop = marking.steps, marking.bound_stop
     bwd, bwd_frontier, db = {start: 0}, [start], 0
     if ball is None:
         e = group.identity.key()
         fwd, fwd_frontier, df = {e: 0}, [e], 0
-        fwd_h = _steps_left_bound(group, target=start[1:stop])
+        fwd_h = _steps_left_bound(marking, target=start[1:stop])
         bwd_h = marking.identity_bound
     else:
         fwd, fwd_frontier, df = ball.dist, ball.sphere, ball.radius
@@ -600,7 +660,7 @@ def _bidirectional_search(group: MarkedGroup, start: Key, lower: int, budget: in
                         return result("exact", budget)
             return result("exceeds_budget")
         if forward and fwd_h is None:
-            fwd, fwd_h = dict(fwd), _steps_left_bound(group, target=start[1:stop])
+            fwd, fwd_h = dict(fwd), _steps_left_bound(marking, target=start[1:stop])
         if forward:
             frontier, seen, other, depth, h = fwd_frontier, fwd, bwd, df + 1, fwd_h
         else:
@@ -629,15 +689,13 @@ def letter_face(group: MarkedGroup, letters: Iterable[str]) -> Face | None:
 
     IMPROPER when the abelianized letters lie on no proper face. This is the
     one lookup behind geodesic verdicts, Busemann gauge bounds and orbit keys,
-    memoized per marking and label set.
+    kept on the marking by label set (``_Marking.faces``).
     """
-    return _letter_face(group, frozenset(letters))
-
-
-@lru_cache(maxsize=64)
-def _letter_face(group: MarkedGroup, labels: frozenset[str]) -> Face | None:
-    pts = {group.generator(letter).abelianized() for letter in labels}
-    return projected_polytope(group).minimal_face_of_points(list(pts))
+    faces, labels = _marking(group).faces, frozenset(letters)
+    if labels not in faces:
+        pts = {group.generator(letter).abelianized() for letter in labels}
+        faces[labels] = projected_polytope(group).minimal_face_of_points(list(pts))
+    return faces[labels]
 
 
 def exact_length(group: MarkedGroup, word: Sequence[str],

@@ -15,6 +15,7 @@ from horocalc.groups import (
     standard_group,
 )
 from horocalc import metric
+from horocalc.classifier import orbit_census
 from horocalc.metric import (
     LengthResult,
     _marking,
@@ -25,6 +26,7 @@ from horocalc.metric import (
     length_within,
     word_length,
 )
+from horocalc.polytope import Polytope
 from horocalc.reference import naive_ball
 
 from conftest import random_word
@@ -369,6 +371,23 @@ def test_cartan_commutator_word_geodesic_by_oracle(cartan, rng):
         assert (geodesic_verdict(cartan, word)[0] != "not_geodesic") == expected, word
 
 
+def test_a_census_reads_the_letter_faces_its_marking_keeps(monkeypatch):
+    # h1z needs 63 label sets and h1 and z2 15 each: more than 64 faces, all kept
+    for name in ("h1z", "h1", "z2"):
+        orbit_census(standard_group(name))
+    projected, computed = metric.projected_polytope(standard_group("h1z")), []
+    lookup = Polytope.minimal_face_of_points
+
+    def counted(poly, points):  # the census also reads faces of the full hull
+        if poly is projected:
+            computed.append(points)
+        return lookup(poly, points)
+
+    monkeypatch.setattr(Polytope, "minimal_face_of_points", counted)
+    orbit_census(standard_group("h1z"))
+    assert computed == []
+
+
 @pytest.mark.parametrize("name", ["z2", "h1", "h2", "cartan"])
 def test_the_letter_face_memo_equals_the_polytope_lookup(name):
     group = standard_group(name)
@@ -571,13 +590,65 @@ def test_the_plain_search_matches_naive_lengths(name, data):
         assert (res.status, res.length, res.lower_bound) == (*expected, lower), budget
 
 
-@pytest.mark.parametrize("name", ["z2", "cartan"])
+# the bound toward the identity at (0, 1), toward (3, 1) at (0, 1), floor 5 toward the
+# identity at (0, 1) and floor 2 toward (3, 1) at (-4, 0); cartan-custom's x is x y, so
+# (x, y) -> max(|y|, |2x - y|) is its gauge
+GAUGE_BOUNDS = {"z2": (1, 3, 5, 8), "cartan-custom": (1, 6, 5, 13)}
+
+
+@pytest.mark.parametrize("name", sorted(GAUGE_BOUNDS))
 def test_steps_left_bound_is_the_gauge_toward_its_target(name):
-    group = KERNEL_GROUPS[name]
-    assert metric._steps_left_bound(group)((0, 1)) == 1  # toward the identity
-    assert metric._steps_left_bound(group, target=(3, 1))((0, 1)) == 3
-    assert metric._steps_left_bound(group, floor=5)((0, 1)) == 5
-    assert metric._steps_left_bound(group, target=(3, 1), floor=2)((-4, 0)) == 8
+    marking = _marking(KERNEL_GROUPS[name])
+    assert marking.bound_stop == 3  # the abelianized point
+    bound = metric._steps_left_bound
+    assert (bound(marking)((0, 1)), bound(marking, target=(3, 1))((0, 1)),
+            bound(marking, floor=5)((0, 1)),
+            bound(marking, target=(3, 1), floor=2)((-4, 0))) == GAUGE_BOUNDS[name]
+
+
+def test_the_cartan_bound_is_the_h1_distance_of_the_images(cartan, h1):
+    # x, y -> x, y is the quotient map; words give each element's image without the formula
+    marking = _marking(cartan)
+    assert marking.bound_stop == 4  # (x, y, 2 area)
+    words = [w for n in range(4) for w in itertools.product(cartan.labels, repeat=n)]
+    images = {cartan.evaluate(w).key(): h1.evaluate(w) for w in words}
+    h1_dist = naive_ball(h1, 6)
+    gauge = metric._gauge_ceil_fn(cartan)
+    bound = metric._steps_left_bound
+    for t, t_image in [(None, h1.identity), *itertools.islice(images.items(), 0, None, 9)]:
+        toward = bound(marking, target=t and t[1:4])
+        floored = bound(marking, target=t and t[1:4], floor=4)
+        tx, ty = t[1:3] if t else (0, 0)
+        for k, k_image in images.items():
+            d = h1_dist[(k_image.inverse() * t_image).key()]
+            assert toward(k[1:4]) == d >= gauge((tx - k[1], ty - k[2]))
+            assert floored(k[1:4]) == max(d, 4)
+
+
+def test_h1_length_matches_the_naive_ball(h1):
+    for key, d in naive_ball(h1, 10).items():
+        assert metric._h1_length(*key[1:]) == d
+
+
+def test_h1_length_matches_the_central_table_at_every_endpoint(h1):
+    # layer L over (a, b) holds exactly the c of length at most L: layer L - 2 lies in it
+    table = _marking(h1).table
+    while len(table.layers) <= 30:
+        table._grow()
+    for length, layer in enumerate(table.layers[:31]):
+        for (a, b), (lo, mask) in layer.items():
+            held = {lo + i for i in range(mask.bit_length()) if mask >> i & 1}
+            near = range(lo - 3, lo + mask.bit_length() + 3)
+            assert held == {c for c in near if metric._h1_length(a, b, c) <= length}
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.integers(-8, 8), b=st.integers(-8, 8), c=st.integers(-60, 60))
+def test_h1_length_matches_word_length(a, b, c):
+    group = standard_group("h1")
+    length = metric._h1_length(a, b, c)
+    res = word_length(group, group.element(("h", a, b, c)), length)
+    assert (res.status, res.length) == ("exact", length)
 
 
 # Exact Cartan lengths up to these radii, past the identity ball's radius 7, so that
