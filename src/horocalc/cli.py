@@ -572,7 +572,10 @@ def cmd_selftest(args):
     checks["ball_vs_naive_h2"] = _ball(h2, 3).entries == naive_ball(h2, 3)
     checks["ball_vs_naive_cartan"] = _ball(ca, 3).entries == naive_ball(ca, 3)
     _ball(h1, 5)  # the r3 ball below is then a prefix of the store
-    checks["ball_prefix_vs_naive"] = _ball(h1, 3).entries == naive_ball(h1, 3)
+    first = _ball(h1, 3).entries
+    checks["ball_prefix_vs_naive"] = first == naive_ball(h1, 3)
+    first.clear()  # the caller's own copy: the kept r3 ball must not see this
+    checks["ball_kept_prefix_vs_naive"] = _ball(h1, 3).entries == naive_ball(h1, 3)
 
     ok = True
     for G in (h1, standard_group("h1z"), h2):

@@ -36,8 +36,10 @@ left; otherwise one level short.
 Every ball is read from the marking's ball store (``_BallStore``), grown one
 level at a time, only as far as a query asks: an abelian or Cartan level by
 a level-synchronous expansion, an H_k level sphere by sphere from the
-central table. A ball is a copy of the store or a
-prefix of it. The Cartan identity ball is its first R levels.
+central table. A ball of the store's radius is a copy of the store; a
+smaller one is a copy of the store's kept ball of that radius, its first
+levels cut once on the first ask. The Cartan identity ball is the kept ball
+of radius R itself.
 
 One state cap bounds every enumeration, in group elements held, checked
 after every level. The central table charges the elements of every layer up
@@ -50,7 +52,8 @@ capped answer never depends on earlier queries. A length query over the cap is
 ``inconclusive``; a ball over it raises BudgetExceededError. The central
 table and the ball store keep what they grew as long as the marking is kept:
 the largest ball asked for, plus the level that overflowed the cap (which an
-H_k store has counted but not built).
+H_k store has counted but not built), and one kept ball per smaller radius
+asked for, a dict table over the store's own keys.
 
 Searches run on canonical element keys (``GroupElement.key()`` tuples), not
 on element objects: each state is its own hash key, and right multiplication
@@ -395,6 +398,10 @@ class _BallStore:
     per endpoint, and the level's entries are built only when the next
     ``grow`` or a ``prefix`` needs them, so a level counted over a cap is
     never built. A level is grown only when a query asks for it.
+
+    ``kept`` holds the ball of each radius below the store's that was asked
+    for, cut from ``dist`` once (``dist`` grows, so its own radius is never
+    kept); ``prefix`` hands out copies, which reuse the stored hashes.
     """
 
     def __init__(self, marking: _Marking):
@@ -403,6 +410,7 @@ class _BallStore:
         self.dist: dict[Key, int] = {e: 0}
         self.counts = [1]
         self.sphere: list = [e]
+        self.kept: dict[int, dict[Key, int]] = {}
 
     def grow(self):
         if self.table is not None:
@@ -451,12 +459,18 @@ class _BallStore:
                 dist[(*head, c)] = r
                 mask >>= shift
 
+    def kept_ball(self, radius: int) -> dict[Key, int]:
+        """The kept ball of a radius below the store's, cut from ``dist`` on the first ask."""
+        if radius not in self.kept:
+            self.kept[radius] = dict(islice(self.dist.items(), self.counts[radius]))
+        return self.kept[radius]
+
     def prefix(self, radius: int) -> dict[Key, int]:
         """A fresh dict of the ball of the given radius, which must have been counted."""
         if radius == len(self.counts) - 1:
             self._build()
             return self.dist.copy()
-        return dict(islice(self.dist.items(), self.counts[radius]))
+        return self.kept_ball(radius).copy()
 
 
 class _IdentityBall:
@@ -464,7 +478,8 @@ class _IdentityBall:
 
     Built on a Cartan marking's first length query: R is the largest radius
     whose ball in the marking's store has at most ``max_entries`` elements,
-    and ``dist`` is a copy of those first R levels, so R, the entries and
+    and ``dist`` is the store's kept ball of radius R (never written: the
+    search copies it before its forward side grows), so R, the entries and
     the charge do not depend on how far ``ball`` has grown the store.
     ``dist`` maps each element of the ball to its length and ``sphere``
     lists those of length R. A target in the ball is a lookup; for one
@@ -479,7 +494,7 @@ class _IdentityBall:
         while store.counts[-1] <= max_entries:
             store.grow()
         radius = bisect_right(store.counts, max_entries) - 1
-        self.dist, self.radius = store.prefix(radius), radius
+        self.dist, self.radius = store.kept_ball(radius), radius
         self.sphere = [k for k, d in self.dist.items() if d == radius]
         self.bound = _steps_left_bound(marking, floor=radius + 1)
 
@@ -493,9 +508,9 @@ def ball(group: MarkedGroup, radius: int, state_cap: int = DEFAULT_STATE_CAP) ->
     """Complete exact ball of the given radius around the identity.
 
     Every ball is read from the marking's ball store, whose H_k levels come
-    from the central table: a copy of the whole store, or a prefix of it.
-    The store's content is deterministic, and the returned entries are the
-    caller's own.
+    from the central table: a copy of the whole store, or of the store's kept
+    ball of that radius. The store's content is deterministic, and the
+    returned entries are always a fresh dict, the caller's own.
     The elements held are checked against ``state_cap`` after every level,
     level 0 included, and a level is grown only once the ball below it is
     within the cap, so this raises BudgetExceededError exactly when the ball

@@ -180,10 +180,11 @@ def test_the_ball_store_gives_the_same_balls_in_any_order(name, data):
             assert str(err.value) == _cold_over_cap_message(counts, cap)
             continue
         expected = {k: d for k, d in naive.items() if d <= radius}
-        table = ball(group, radius, state_cap=cap)
-        assert table.entries == expected
-        table.entries.clear()  # the caller's own copy: the store must not see this
-        table.entries[group.identity.key()] = 5
+        for _ in range(2):  # the second ask reads what the first left kept, if anything
+            table = ball(group, radius, state_cap=cap)
+            assert table.entries == expected
+            table.entries.clear()  # the caller's own copy: the store must not see this
+            table.entries[group.identity.key()] = 5
     # every cap boundary holds on the warm store
     for radius in range(max(r for r, _ in calls) + 1):
         assert ball(group, radius, state_cap=counts[radius]).entries == {
@@ -208,6 +209,16 @@ def test_an_h_k_sphere_over_the_cap_is_counted_not_built(name):
         assert ball(group, radius, state_cap=counts[radius]).entries == {
             k: d for k, d in naive.items() if d <= radius}
         assert len(store.dist) == counts[radius]
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_GROUPS))
+def test_balls_come_level_by_level(name):
+    # a ball below the store's radius is cut from the store's first entries
+    group = KERNEL_GROUPS[name]
+    ball(group, 6)
+    for radius in range(7):
+        lengths = list(ball(group, radius).entries.values())
+        assert lengths == sorted(lengths) and lengths[-1] == radius
 
 
 def test_sphere_sizes_nondecreasing_balls(cartan):
@@ -768,6 +779,21 @@ def test_the_bounds_toward_the_identity_are_kept_per_marking_and_floor(monkeypat
     assert metric._bidirectional_search(group, g.key(), first.lower_bound, 12,
                                         metric.DEFAULT_STATE_CAP) == plain
     assert len(_marking(group).identity_bound.__self__) == kept
+
+
+def test_the_identity_ball_is_the_kept_ball_and_survives_caller_mutation():
+    # a marking no other test uses, so its identity ball is built by the first query below
+    group = marked_cartan({"m": "x y~", "n": "y"})
+    ball(group, 7).entries.clear()
+    naive = naive_ball(group, 7)
+    store = _marking(group).store
+    for key, d in naive.items():
+        assert word_length(group, group.element(key), 7) == LengthResult(
+            "exact", d, gauge_lower_bound(group, group.element(key)), 0)
+    assert _marking(group).identity_ball.dist is store.kept[7]
+    ball(group, 7).entries.clear()  # now a copy of the kept ball itself
+    assert _marking(group).identity_ball.dist == naive
+    assert all(word_length(group, group.element(key), 7).length == d for key, d in naive.items())
 
 
 def test_the_cartan_ball_charges_its_entries_and_the_states_held():
