@@ -5,7 +5,9 @@ A geodesic ray is classified by the letters it uses infinitely often: their
 minimal face F in the abelianized generator hull decides the orbit when F is
 non-commutative; commutative faces additionally need the minimal face E in
 the full generator hull. Groups whose generators all commute are reported as
-classified by the abelian rule, without claiming the 2-step statement.
+classified by the abelian rule, without claiming the 2-step statement. Every
+question about the commutator form is a lookup in the marking's table
+``MarkedGroup.commutators``.
 
 Anagram offset sets (the central offsets of all reorderings of a word) are
 a sumset over the word's commuting blocks of letters, each block an exact
@@ -22,7 +24,7 @@ from operator import mul
 from typing import Collection, Sequence
 
 from .errors import BudgetExceededError, DegenerateInputError, GroupKindMismatchError
-from .groups import MarkedGroup, Word, commutator_z_exponent, full_coordinates
+from .groups import MarkedGroup, Word, full_coordinates, require_commutator_unit
 from .horoboundary import RaySpec, recurring_face
 from .metric import letter_face, projected_polytope
 from .polytope import IMPROPER, Face, Polytope
@@ -35,7 +37,7 @@ def _require_classifiable(group: MarkedGroup) -> str:
     if group.kind == "abelian":
         return "abelian"
     if group.kind == "heisenberg":
-        if group.has_cyclic_commutator:
+        if group.commutator_unit is not None:
             return "2step"
         return "abelian-like"
     raise GroupKindMismatchError(
@@ -47,28 +49,6 @@ def _require_classifiable(group: MarkedGroup) -> str:
 def full_polytope(group: MarkedGroup) -> Polytope:
     """Hull of the generators in full coordinates (needed for E faces)."""
     return Polytope([full_coordinates(g) for _, g in group.generator_items()])
-
-
-def face_labels(group: MarkedGroup, face: Face) -> list[str]:
-    """Generator labels whose projection lies on the face.
-
-    The projected polytope's points are indexed in generator order, so face
-    membership is a direct index test (duplicate projections included).
-    """
-    return [
-        label
-        for i, (label, _) in enumerate(group.generator_items())
-        if i in face.members
-    ]
-
-
-def _is_commutative_face(group: MarkedGroup, labels: Sequence[str]) -> bool:
-    gens = [group.generator(label) for label in labels]
-    for i, g in enumerate(gens):
-        for h in gens[i + 1 :]:
-            if commutator_z_exponent(group, g, h) != 0:
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -83,11 +63,15 @@ def _orbit_data(group: MarkedGroup, mode: str, letters: Collection[str], face: F
                 fp: Polytope | None):
     """(projected face key, commutative, full-hull face key) of a letter set on a proper face.
 
-    ``face`` is the letters' ``letter_face``. The full-hull key is None
-    without a full hull ``fp`` and ("improper",) when no proper face of it
-    holds the letters.
+    ``face`` is the letters' ``letter_face``; the projected points are in label
+    order, so the generators on it are ``group.labels[i]`` for its members
+    (duplicate projections included). The full-hull key is None without a
+    full hull ``fp`` and ("improper",) when no proper face of it holds the
+    letters.
     """
-    commutative = mode != "2step" or _is_commutative_face(group, face_labels(group, face))
+    on_face = [group.labels[i] for i in face.members]
+    commutative = mode != "2step" or not any(
+        group.commutators[pair] for pair in itertools.combinations(on_face, 2))
     full_key = None
     if fp is not None:
         eface = fp.minimal_face_of_points([full_coordinates(group.generator(s)) for s in letters])
@@ -174,15 +158,10 @@ class AnagramSet:
     delta: int  # max |commutator exponent| over generator pairs
 
 
-@lru_cache(maxsize=64)
 def central_increment_bound(group: MarkedGroup) -> int:
     """delta = max |z-exponent of [s, t]| over generator pairs."""
-    gens = [g for _, g in group.generator_items()]
-    best = 0
-    for i, g in enumerate(gens):
-        for h in gens[i + 1 :]:
-            best = max(best, abs(commutator_z_exponent(group, g, h)))
-    return best
+    unit = require_commutator_unit(group)
+    return max(map(abs, group.commutators.values())) // unit
 
 
 @lru_cache(maxsize=256)
@@ -194,10 +173,10 @@ def _commuting_blocks(group: MarkedGroup, letters: tuple[str, ...]) -> tuple[fro
     """
     blocks: list[list[str]] = []
     for s in letters:
-        g = group.generator(s)
+        group.generator(s)  # an unknown label raises here, not as a lookup below
         block, rest = [s], []
         for b in blocks:
-            if any(commutator_z_exponent(group, g, group.generator(t)) for t in b):
+            if any(group.commutators[s, t] for t in b):
                 block += b
             else:
                 rest.append(b)
@@ -280,13 +259,7 @@ def anagram_set(
     Every state holds at least one, so a word whose blocks have more states
     than ``max_states`` is refused before any work.
     """
-    if group.kind != "heisenberg":
-        raise GroupKindMismatchError("anagram sets are defined in Heisenberg mode")
-    unit = group.commutator_unit
-    if unit is None:
-        raise DegenerateInputError(
-            "anagram sets need a non-degenerate commutator subgroup"
-        )
+    unit = require_commutator_unit(group)
     word = tuple(word)
     blocks = [tuple(s for s in word if s in block)
               for block in _commuting_blocks(group, tuple(sorted(set(word))))]
@@ -323,23 +296,22 @@ def offset_interval_probe(group: MarkedGroup, letters: Sequence[str], n: int) ->
     letters = tuple(letters)
     if len(letters) < 1:
         raise DegenerateInputError("letter set must be nonempty")
-    pairs = [
-        (s, t)
-        for i, s in enumerate(letters)
-        for t in letters[i + 1 :]
-    ]
-    gen = 0
-    for s, t in pairs:
-        gen = math.gcd(gen, abs(commutator_z_exponent(group, group.generator(s), group.generator(t))))
-    if not pairs or gen == 0:
-        word = letters * max(1, n // len(letters))
+    if n < 0:
+        raise DegenerateInputError("word length n must be >= 0")
+    for s in letters:
+        group.generator(s)  # an unknown label raises here, not as a lookup below
+    unit = require_commutator_unit(group)
+    pairs = list(itertools.combinations(letters, 2))
+    gen = math.gcd(*(group.commutators[pair] for pair in pairs)) // unit
+    if gen == 0:
+        word = (letters * max(1, n // len(letters)))[:n]
         return IntervalReport(letters, 0, [len(word)], [0], passed=True)
     reps = max(1, n // (2 * len(pairs)))
     word: list[str] = []
     for s, t in pairs:
         word.extend([s, t] * reps)
-    word = word[:n] if len(word) > n else word
-    lengths = sorted({max(2, len(word) // 3), max(2, 2 * len(word) // 3), len(word)})
+    word = word[:n]
+    lengths = sorted({min(len(word), max(2, len(word) * i // 3)) for i in (1, 2, 3)})
     radii = []
     for L in lengths:
         offs = anagram_set(group, word[:L]).offsets

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -178,8 +179,7 @@ def full_coordinates(g: GroupElement) -> tuple[int, ...]:
 
 def abelianize(group: "MarkedGroup", g: GroupElement) -> tuple[int, ...]:
     """Image of g in the abelianization (a homomorphism to Z^d)."""
-    if g.kind != group.kind:
-        raise GroupKindMismatchError("element does not belong to this group")
+    group.member_key(g)
     return g.abelianized()
 
 
@@ -190,6 +190,9 @@ class MarkedGroup:
     paired generators really are mutually inverse. Instances are immutable
     and hashable; equality is by canonical description, compared by its
     cached digest ``group_hash``.
+
+    A Heisenberg marking's commutator form lives in ``commutators``, one
+    table built on first read; its gcd is ``commutator_unit``.
     """
 
     def __init__(self, kind: str, params: int | None, generators: dict[str, GroupElement]):
@@ -211,7 +214,6 @@ class MarkedGroup:
                 raise ParseError(f"labels {label!r} and {self.inverse_of[label]!r} are not inverse")
             if self._gen[label].kind != kind:
                 raise GroupKindMismatchError(f"generator {label!r} has wrong kind")
-        self._commutator_unit = self._compute_commutator_unit()
 
     # -- basics --------------------------------------------------------
 
@@ -265,34 +267,35 @@ class MarkedGroup:
             return 2 * self.params
         return 2
 
-    # -- Heisenberg commutator structure -------------------------------
+    def member_key(self, g: GroupElement) -> tuple:
+        """g's canonical key, checked to carry the identity's kind tag and length."""
+        key, e = g.key(), self.identity.key()
+        if len(key) != len(e) or key[0] != e[0]:
+            raise GroupKindMismatchError("element does not belong to this group")
+        return key
 
-    def _compute_commutator_unit(self) -> int | None:
-        """gcd of the central exponents of all generator commutators.
+    # -- Heisenberg commutator form ------------------------------------
 
-        For a Heisenberg marked group the commutators [s, t] span the
-        subgroup (0, 0, unit*Z) of the center; ``None`` means every pair of
-        generators commutes (the subgroup is trivial, not infinite cyclic).
+    @cached_property
+    def commutators(self) -> dict[tuple[str, str], int]:
+        """omega(s, t), the central coordinate of [s, t], for each ordered label pair.
+
+        Empty unless the marking is Heisenberg. The orbit classifier and the
+        anagram DP read the form here.
         """
         if self.kind != "heisenberg":
-            return None
-        import math
+            return {}
+        items = self.generator_items()
+        return {(s, t): _symplectic(g, h) for s, g in items for t, h in items}
 
-        unit = 0
-        gens = [g for _, g in self.generator_items()]
-        for i, g in enumerate(gens):
-            for h in gens[i + 1 :]:
-                unit = math.gcd(unit, abs(_symplectic(g, h)))
-        return unit or None
-
-    @property
-    def has_cyclic_commutator(self) -> bool:
-        """True when the commutators of the generators span an infinite cyclic group."""
-        return self._commutator_unit is not None
-
-    @property
+    @cached_property
     def commutator_unit(self) -> int | None:
-        return self._commutator_unit
+        """gcd of ``commutators``: the commutators span (0, 0, unit*Z) of the center.
+
+        None when every pair of generators commutes (the subgroup is trivial,
+        not infinite cyclic), and for the other kinds.
+        """
+        return math.gcd(*self.commutators.values()) or None
 
     # -- identity / hashing --------------------------------------------
 
@@ -325,24 +328,25 @@ def _symplectic(g: HeisenbergElement, h: HeisenbergElement) -> int:
     return sum(x * y for x, y in zip(g.a, h.b)) - sum(x * y for x, y in zip(h.a, g.b))
 
 
+def require_commutator_unit(group: MarkedGroup) -> int:
+    """The marking's ``commutator_unit``, refusing other kinds and trivial forms."""
+    if group.kind != "heisenberg":
+        raise GroupKindMismatchError("commutator exponents are defined for Heisenberg groups")
+    if group.commutator_unit is None:
+        raise DegenerateInputError("all generators commute; the commutator subgroup is trivial")
+    return group.commutator_unit
+
+
 def commutator_z_exponent(group: MarkedGroup, g: GroupElement, h: GroupElement) -> int:
     """The integer a with [g, h] = z^a, z the positive generator of [H, H].
 
     Bilinear and antisymmetric in the abelianized coordinates; requires the
-    marked group to have infinite cyclic commutator subgroup.
+    marked group to have infinite cyclic commutator subgroup. For generators
+    it agrees with ``group.commutators`` divided by the unit.
     """
-    if group.kind != "heisenberg":
-        raise GroupKindMismatchError("commutator exponents are defined for Heisenberg groups")
-    unit = group.commutator_unit
-    if unit is None:
-        raise DegenerateCommutatorError()
-    omega = _symplectic(g, h)
-    return omega // unit
-
-
-class DegenerateCommutatorError(DegenerateInputError):
-    def __init__(self):
-        super().__init__("all generators commute; the commutator subgroup is trivial")
+    unit = require_commutator_unit(group)
+    group.member_key(g), group.member_key(h)
+    return _symplectic(g, h) // unit
 
 
 # -- construction helpers ----------------------------------------------

@@ -71,7 +71,7 @@ from itertools import islice, product
 from operator import add, mul, sub
 from typing import Callable, Iterable, Sequence
 
-from .errors import BudgetExceededError, DegenerateInputError, GroupKindMismatchError
+from .errors import BudgetExceededError, DegenerateInputError
 from .groups import AbelianElement, CartanElement, GroupElement, HeisenbergElement, MarkedGroup
 from .polytope import IMPROPER, Face, Polytope
 
@@ -569,9 +569,7 @@ def word_length(
     """
     if budget < 0:
         raise DegenerateInputError("budget must be >= 0")
-    e, start = group.identity.key(), g.key()
-    if len(start) != len(e) or start[0] != e[0]:
-        raise GroupKindMismatchError("element does not belong to this group")
+    start = group.member_key(g)
     lower = gauge_lower_bound(group, g)
     if g.is_identity():
         return LengthResult("exact", 0, lower, 0)

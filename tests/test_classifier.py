@@ -13,11 +13,13 @@ from horocalc.classifier import (
     ray_invariants,
     same_orbit,
 )
+from horocalc.cli import main
 from horocalc.errors import (
     BudgetExceededError,
     DegenerateInputError,
     GroupKindMismatchError,
     SpecNotGeodesicError,
+    UnknownLabelError,
 )
 from horocalc.groups import commutator_z_exponent, marked_heisenberg, parse_word, standard_group
 from horocalc.horoboundary import DigitizedRay, PeriodicRay
@@ -295,6 +297,36 @@ def test_interval_growth(h1):
     assert rep.passed
     assert rep.attained_radius[-1] >= 2
     assert rep.attained_radius == sorted(rep.attained_radius)
+    # the word has n letters, and no prefix is longer than the word
+    for n in (0, 1):
+        assert offset_interval_probe(h1, ("x", "y"), n).prefix_lengths == [n]
+    with pytest.raises(DegenerateInputError):
+        offset_interval_probe(h1, ("x", "y"), -1)
+
+
+_CARTAN = standard_group("cartan")
+_DEGENERATE_H1 = marked_heisenberg(1, {"x": [1, 0, 0], "w": [2, 0, 0]})
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: anagram_set(standard_group("h1"), ("x", "q")), UnknownLabelError),
+    (lambda: main(["anagram", "--group", "h1", "--word", "x q"]), "exit 2"),
+    (lambda: central_increment_bound(standard_group("z2")), GroupKindMismatchError),
+    (lambda: central_increment_bound(_CARTAN), GroupKindMismatchError),
+    (lambda: central_increment_bound(_DEGENERATE_H1), DegenerateInputError),
+    (lambda: offset_interval_probe(_CARTAN, ("x", "y"), 8), GroupKindMismatchError),
+    (lambda: commutator_z_exponent(_CARTAN, _CARTAN.generator("x"), _CARTAN.generator("y")),
+     GroupKindMismatchError),
+], ids=["anagram_unknown_label", "cli_anagram_unknown_label", "bound_z2", "bound_cartan",
+        "bound_degenerate", "probe_cartan", "exponent_cartan"])
+def test_commutator_form_readers_raise_typed_errors(call, error, capsys):
+    """Each reader of the commutator form keeps its typed error (or exit code)."""
+    if error == "exit 2":
+        assert call() == 2
+        assert "unknown generator label 'q'" in capsys.readouterr().err
+    else:
+        with pytest.raises(error):
+            call()
 
 
 def test_interval_single_letter(h1):
@@ -302,6 +334,12 @@ def test_interval_single_letter(h1):
     assert rep.subgroup_generator == 0
     assert rep.attained_radius == [0]
     assert rep.passed
+    assert offset_interval_probe(h1, ("x",), 0).prefix_lengths == [0]
+    # no pair to read, yet the labels and the kind are still checked
+    with pytest.raises(UnknownLabelError):
+        offset_interval_probe(h1, ("q",), 12)
+    with pytest.raises(GroupKindMismatchError):
+        offset_interval_probe(_CARTAN, ("x",), 12)
 
 
 def test_interval_even_subgroup():

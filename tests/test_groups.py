@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -136,6 +137,12 @@ def test_kind_mismatch(z2, h1):
         z2.generator("x") * h1.generator("x")
     with pytest.raises(GroupKindMismatchError):
         AbelianElement((1, 0)) * AbelianElement((1, 0, 0))
+    # same kind, another marking: H_2 elements are not in H_1
+    h2 = standard_group("h2")
+    with pytest.raises(GroupKindMismatchError):
+        abelianize(h1, h2.generator("x1"))
+    with pytest.raises(GroupKindMismatchError):
+        commutator_z_exponent(h1, h2.generator("x1"), h2.generator("y1"))
 
 
 def test_unknown_label(h1):
@@ -151,9 +158,31 @@ def test_inverse_pairing_involution(h1z):
 
 
 def test_cyclic_commutator_flags():
-    assert standard_group("h1").has_cyclic_commutator
+    assert standard_group("h1").commutator_unit is not None
     degenerate = marked_heisenberg(1, {"x": [1, 0, 0], "z": [0, 0, 1]})
-    assert not degenerate.has_cyclic_commutator
+    assert degenerate.commutator_unit is None
+    for name in ("z2", "cartan"):
+        assert standard_group(name).commutators == {}
+        assert standard_group(name).commutator_unit is None
+
+
+@pytest.mark.parametrize("group", [
+    standard_group("h1"),
+    standard_group("h1z"),
+    standard_group("h2"),
+    marked_heisenberg(2, {"p": [1, 0, 0, 0, 1], "q": [0, 0, 1, 0, 0],
+                          "r": [0, 1, 0, 0, -1], "s": [0, 0, 0, 2, 0]}),
+    marked_heisenberg(1, {"x": [1, 0, 0], "y": [0, 1, 0], "w": [0, 2, 0]}),
+    marked_heisenberg(1, {"x": [1, 0, 0], "z": [0, 0, 1]}),
+], ids=["h1", "h1z", "h2", "custom_h2", "even_w", "degenerate"])
+def test_commutator_table_agrees_with_group_products(group):
+    by_products = {}
+    for s in group.labels:
+        for t in group.labels:
+            word = (s, t, group.inverse_of[s], group.inverse_of[t])
+            by_products[s, t] = group.evaluate(word).c
+    assert group.commutators == by_products
+    assert group.commutator_unit == (math.gcd(*by_products.values()) or None)
 
 
 def test_group_from_json_roundtrip(h1):
