@@ -622,8 +622,8 @@ def cmd_selftest(args):
     checks["bidirectional_search_vs_ball"] = ok
 
     ok = True
-    # radius 8 passes the identity ball's radius 7: lookups and searches seeded by it both answer
-    cartan_sample = rng.sample(list(naive_ball(ca, 8).items()), 2000)
+    # radius 9 passes the identity ball's radius 8: lookups and searches seeded by it both answer
+    cartan_sample = rng.sample(list(naive_ball(ca, 9).items()), 2000)
     for key, d in cartan_sample:
         g = ca.element(key)
         for budget in (d - 1, d, d + 1, d + 2) if d else (0, 2):

@@ -8,10 +8,12 @@ query is answered by the first of three tiers that applies:
    central values c that words of length exactly L reach; the length of
    (a, b, c) is the first layer from the gauge bound up that holds c.
 2. Cartan: the identity ball (``_IdentityBall``, taken on the marking's
-   first query from the first levels of its ball store): the largest
-   complete ball around the identity with at most ``ORACLE_BALL_ENTRIES``
-   elements. A target in it is a lookup; otherwise the bidirectional search
-   runs with the ball as its forward side, R levels deep before it starts.
+   first query from the first levels of its ball store): the smallest
+   complete ball around the identity with more than ``ORACLE_BALL_ENTRIES``
+   elements, a level the store counts anyway to find it (radius 8, 11,639
+   elements, for the standard marking). A target in it is a lookup;
+   otherwise the bidirectional search runs with the ball as its forward
+   side, R levels deep before it starts.
 3. Everything else, and any query a tier's charge puts over the state cap:
    the plain bidirectional level-synchronous search.
 
@@ -53,7 +55,7 @@ capped answer never depends on earlier queries. A length query over the cap is
 table and the ball store keep what they grew as long as the marking is kept:
 the largest ball asked for, plus the level that overflowed the cap (which an
 H_k store has counted but not built), and one kept ball per smaller radius
-asked for, a dict table over the store's own keys.
+asked for and the identity ball, each a dict table over the store's own keys.
 
 Searches run on canonical element keys (``GroupElement.key()`` tuples), not
 on element objects: each state is its own hash key, and right multiplication
@@ -64,7 +66,6 @@ kind the abelianization is ``key[1:1 + abelian_rank]``; a search's bound reads
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import islice, product
@@ -79,7 +80,7 @@ Key = tuple
 Step = Callable[[Key], Key]
 
 DEFAULT_STATE_CAP = 2_000_000
-ORACLE_BALL_ENTRIES = 5_000  # bound on the identity ball of each Cartan marking
+ORACLE_BALL_ENTRIES = 5_000  # a Cartan identity ball is the first one over this many elements
 
 
 @dataclass
@@ -399,9 +400,9 @@ class _BallStore:
     ``grow`` or a ``prefix`` needs them, so a level counted over a cap is
     never built. A level is grown only when a query asks for it.
 
-    ``kept`` holds the ball of each radius below the store's that was asked
-    for, cut from ``dist`` once (``dist`` grows, so its own radius is never
-    kept); ``prefix`` hands out copies, which reuse the stored hashes.
+    ``kept`` holds each ball ``kept_ball`` was asked for, cut from ``dist``
+    once, so it stays as it was when ``dist`` grows past it;
+    ``prefix`` hands out copies, which reuse the stored hashes.
     """
 
     def __init__(self, marking: _Marking):
@@ -460,8 +461,14 @@ class _BallStore:
                 mask >>= shift
 
     def kept_ball(self, radius: int) -> dict[Key, int]:
-        """The kept ball of a radius below the store's, cut from ``dist`` on the first ask."""
+        """The kept ball of a counted radius, cut from ``dist`` on the first ask.
+
+        At the store's own radius the level is built first, so the cut is the
+        whole ball; the kept ball is its own dict either way, never ``dist``.
+        """
         if radius not in self.kept:
+            if radius == len(self.counts) - 1:
+                self._build()
             self.kept[radius] = dict(islice(self.dist.items(), self.counts[radius]))
         return self.kept[radius]
 
@@ -474,13 +481,16 @@ class _BallStore:
 
 
 class _IdentityBall:
-    """The largest complete ball around the identity with at most ``max_entries`` elements.
+    """The first complete ball around the identity with more than ``max_entries`` elements.
 
-    Built on a Cartan marking's first length query: R is the largest radius
-    whose ball in the marking's store has at most ``max_entries`` elements,
-    and ``dist`` is the store's kept ball of radius R (never written: the
-    search copies it before its forward side grows), so R, the entries and
-    the charge do not depend on how far ``ball`` has grown the store.
+    Built on a Cartan marking's first length query: R is the first radius
+    whose ball in the marking's store holds more than ``max_entries``
+    elements, the level the store had to count to find it, or the first
+    level that adds no element, whose ball is then the whole subgroup. Its
+    ``dist`` is the store's kept ball of radius R, its own dict (never
+    written: the search copies it before its forward side grows), so R, the
+    entries and the charge do not depend on how far ``ball`` has grown the
+    store.
     ``dist`` maps each element of the ball to its length and ``sphere``
     lists those of length R. A target in the ball is a lookup; for one
     outside it the ball seeds the bidirectional search's forward side.
@@ -490,10 +500,13 @@ class _IdentityBall:
     """
 
     def __init__(self, marking: _Marking, max_entries: int = ORACLE_BALL_ENTRIES):
-        store = marking.store
-        while store.counts[-1] <= max_entries:
-            store.grow()
-        radius = bisect_right(store.counts, max_entries) - 1
+        store, radius = marking.store, 0
+        while store.counts[radius] <= max_entries:
+            radius += 1
+            if radius == len(store.counts):
+                store.grow()
+            if store.counts[radius] == store.counts[radius - 1]:  # the whole subgroup
+                break
         self.dist, self.radius = store.kept_ball(radius), radius
         self.sphere = [k for k, d in self.dist.items() if d == radius]
         self.bound = _steps_left_bound(marking, floor=radius + 1)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from horocalc.errors import BudgetExceededError, DegenerateInputError, GroupKindMismatchError
 from horocalc.groups import (
     AbelianElement,
+    CartanElement,
     marked_abelian,
     marked_cartan,
     marked_heisenberg,
@@ -662,9 +663,9 @@ def test_h1_length_matches_word_length(a, b, c):
     assert (res.status, res.length) == ("exact", length)
 
 
-# Exact Cartan lengths up to these radii, past the identity ball's radius 7, so that
+# Exact Cartan lengths up to these radii, past the identity ball's radius 8, so that
 # both the ball lookup and the backward search answer.
-CARTAN_ORACLES = {"cartan": 9, "cartan-custom": 8}
+CARTAN_ORACLES = {"cartan": 10, "cartan-custom": 9}
 
 
 @lru_cache(maxsize=None)
@@ -723,8 +724,9 @@ def test_cartan_ball_search_agrees_with_the_bidirectional_search(name, rng):
 
 
 def test_a_small_identity_ball_search_matches_naive_lengths(cartan):
-    # radius 3: targets up to radius 6 are met up to three levels beyond the ball
-    small = metric._IdentityBall(_marking(cartan), 60)
+    # radius 3, the first ball over 40 entries (53): targets up to radius 6 are met up to
+    # three levels beyond the ball
+    small = metric._IdentityBall(_marking(cartan), 40)
     assert small.radius == 3
     for key, d in naive_ball(cartan, 6).items():
         if d <= small.radius:
@@ -784,16 +786,17 @@ def test_the_bounds_toward_the_identity_are_kept_per_marking_and_floor(monkeypat
 def test_the_identity_ball_is_the_kept_ball_and_survives_caller_mutation():
     # a marking no other test uses, so its identity ball is built by the first query below
     group = marked_cartan({"m": "x y~", "n": "y"})
-    ball(group, 7).entries.clear()
-    naive = naive_ball(group, 7)
+    ball(group, 8).entries.clear()
+    naive = naive_ball(group, 8)
     store = _marking(group).store
     for key, d in naive.items():
-        assert word_length(group, group.element(key), 7) == LengthResult(
+        assert word_length(group, group.element(key), 8) == LengthResult(
             "exact", d, gauge_lower_bound(group, group.element(key)), 0)
-    assert _marking(group).identity_ball.dist is store.kept[7]
-    ball(group, 7).entries.clear()  # now a copy of the kept ball itself
+    assert _marking(group).identity_ball.dist is store.kept[8]
+    ball(group, 9)
+    ball(group, 8).entries.clear()  # now a copy of the kept ball itself
     assert _marking(group).identity_ball.dist == naive
-    assert all(word_length(group, group.element(key), 7).length == d for key, d in naive.items())
+    assert all(word_length(group, group.element(key), 8).length == d for key, d in naive.items())
 
 
 def test_the_cartan_ball_charges_its_entries_and_the_states_held():
@@ -810,12 +813,12 @@ def _check_the_cartan_ball_charges(grown):
         ball(group, 10)
     g = group.evaluate(parse_word(f"{p} {q} {q} {p}~ {q}~ {q}~ {p} {q} {p}~ {q}~"))  # length 10
     lower = gauge_lower_bound(group, g)
-    size = len(naive_ball(group, 7))
-    held = 17  # backward states held after the last level before the one that meets the ball
+    size = len(naive_ball(group, 8))
+    held = 5  # backward states held after the last level before the one that meets the ball
     caps = (size - 1, size, size + held - 1, size + held, metric.DEFAULT_STATE_CAP)
     cold = [word_length(group, g, 12, state_cap=cap) for cap in caps]
     oracle = _marking(group).identity_ball
-    assert (oracle.radius, len(oracle.dist), size) == (7, size, 4205)
+    assert (oracle.radius, len(oracle.dist), size) == (8, size, 11639)
     assert len(_marking(group).store.counts) == (11 if grown else 9)
     warm = [word_length(group, g, 12, state_cap=cap) for cap in caps]
     assert cold == warm
@@ -830,3 +833,43 @@ def _check_the_cartan_ball_charges(grown):
     inside = group.evaluate(parse_word(f"{p} {q} {p}~ {q}~"))
     assert word_length(group, inside, 4, state_cap=size) == LengthResult("exact", 4, 0, 0)
     assert word_length(group, inside, 4, state_cap=size - 1).expanded > 0
+
+
+def test_taking_the_identity_ball_grows_the_store_no_further():
+    # a marking no other test uses: the store counts level 8 to find the first ball over
+    # ORACLE_BALL_ENTRIES, and the identity ball is that level's kept ball
+    group = marked_cartan({"i": "x y~", "j": "y"})
+    g = group.evaluate(parse_word("i j j i~ j~ j~ i j i~ j~"))  # length 10, outside the ball
+    assert word_length(group, g, 12).exact
+    store, oracle = _marking(group).store, _marking(group).identity_ball
+    assert (len(store.counts), oracle.radius) == (9, 8)
+    naive = naive_ball(group, 8)
+    assert oracle.dist == naive and oracle.dist is not store.dist
+    assert sorted(oracle.sphere) == sorted(k for k, d in naive.items() if d == 8)
+    ball(group, 10)
+    assert len(store.counts) == 11
+    assert _marking(group).identity_ball is oracle and oracle.dist == naive
+
+
+def test_the_kept_ball_at_the_stores_radius_is_built_first():
+    # a marking no other test uses: its last counted level is read from the central table
+    # and not yet entered into the store's dist
+    group = marked_heisenberg(1, {"a": [1, 0, 0], "b": [0, 1, 0]})
+    ball(group, 5)
+    store = _marking(group).store
+    store.grow()
+    assert len(store.counts) == 7 and len(store.dist) < store.counts[6]
+    kept = store.kept_ball(6)
+    assert kept == naive_ball(group, 6) and kept is not store.dist
+    assert ball(group, 6).entries == kept
+
+
+def test_a_cartan_marking_of_the_identity_alone_proves_every_other_target_unreachable():
+    # every level past 0 adds nothing, so the identity ball is the whole subgroup {e}
+    group = marked_cartan({"u": "x x~"})
+    target = CartanElement(1, 0, 0, 0, 0)
+    for budget in (0, 3, 12):
+        assert word_length(group, target, budget) == LengthResult("exceeds_budget", None, 0, 0)
+    oracle = _marking(group).identity_ball
+    assert (oracle.radius, oracle.dist, oracle.sphere) == (1, {group.identity.key(): 0}, [])
+    assert word_length(group, group.identity, 3).length == 0
